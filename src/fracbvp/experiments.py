@@ -164,21 +164,32 @@ def _coupled_paths(ref_path: IncrementPath, level_ns) -> dict:
     return paths
 
 
-def _solve_one(solver: str, problem: ProblemSpec, path: IncrementPath,
-               tol: float, max_iters: int):
-    if solver == "fem":
-        return solve_nonlinear_fem(problem, path, tol=tol, max_iters=max_iters).grid_function
-    return solve_hammerstein(problem, path, tol=tol, max_iters=max_iters).grid_function
+def _solve_one(solver: str, problem: ProblemSpec, path: IncrementPath, config: StudyConfig):
+    solve = solve_nonlinear_fem if solver == "fem" else solve_hammerstein
+    return solve(problem, path, tol=config.tol, max_iters=config.max_iters).grid_function
 
 
-def _run_samples(worker: Callable, samples: int, threads: int) -> list:
-    """Map worker over sample indices, preserving index order."""
+def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: str,
+                     samples: int, seed: int, threads: int) -> np.ndarray:
+    """Per-sample statistics of coupled paths, stacked in sample order.
+
+    Sample m draws one path on the grid with fine_n cells from its own
+    generator default_rng([seed, m]), aggregates it onto every level, and
+    contributes the row statistic(fine path, {n: level path}).  Rows are
+    collected in index order, so the result does not depend on threads.
+    """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
+
+    def worker(m: int):
+        fine_path = sampler.sample(np.random.default_rng([seed, m]))
+        return statistic(fine_path, _coupled_paths(fine_path, level_ns))
+
     if threads == 1:
-        return [worker(m) for m in range(samples)]
+        return np.array([worker(m) for m in range(samples)])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(samples)))
+        return np.array(list(pool.map(worker, range(samples))))
 
 
 def _rms_levels(level_ns, squared_errors: np.ndarray) -> list:
@@ -195,6 +206,14 @@ def _rms_levels(level_ns, squared_errors: np.ndarray) -> list:
     ]
 
 
+def _rate_block(level_ns, squared: np.ndarray) -> dict:
+    """Level summaries of squared errors (samples, levels) plus the fitted rate."""
+    levels = _rms_levels(level_ns, squared)
+    rate, rate_se = estimate_rate([lv["h"] for lv in levels],
+                                  [lv["rms_error"] for lv in levels])
+    return {"levels": levels, "fitted_rate": rate, "rate_stderr": rate_se}
+
+
 def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceReport:
     """RMS L2 error against a coupled fine-grid reference, per level.
 
@@ -209,38 +228,20 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     """
     started = time.perf_counter()
     problem = config.problem()
-    hurst = HurstIndex(config.hurst)
-    ref_grid = UniformGrid(config.reference_n)
-    sampler = IncrementSampler(ref_grid, hurst, config.sampler)
     solvers = ["fem", "greens"] if config.solver == "both" else [config.solver]
     level_ns = config.level_ns()
 
-    def worker(m: int):
-        rng = np.random.default_rng([config.seed, m])
-        ref_path = sampler.sample(rng)
-        paths = _coupled_paths(ref_path, level_ns)
-        out = {}
+    def squared_errors(ref_path: IncrementPath, paths: dict) -> list:
+        out = []
         for solver in solvers:
-            reference = _solve_one(solver, problem, ref_path, config.tol, config.max_iters)
-            errs = []
-            for n in level_ns:
-                solution = _solve_one(solver, problem, paths[n], config.tol, config.max_iters)
-                errs.append(discrete_l2_error(solution, reference) ** 2)
-            out[solver] = errs
+            reference = _solve_one(solver, problem, ref_path, config)
+            solutions = [_solve_one(solver, problem, paths[n], config) for n in level_ns]
+            out.append([discrete_l2_error(u, reference) ** 2 for u in solutions])
         return out
 
-    per_sample = _run_samples(worker, config.samples, threads)
-    results = {}
-    for solver in solvers:
-        squared = np.array([row[solver] for row in per_sample])
-        levels = _rms_levels(level_ns, squared)
-        rate, rate_se = estimate_rate([lv["h"] for lv in levels],
-                                      [lv["rms_error"] for lv in levels])
-        results[solver] = {
-            "levels": levels,
-            "fitted_rate": rate,
-            "rate_stderr": rate_se,
-        }
+    rows = _coupled_samples(squared_errors, config.reference_n, level_ns, config.hurst,
+                            config.sampler, config.samples, config.seed, threads)
+    results = {solver: _rate_block(level_ns, rows[:, i]) for i, solver in enumerate(solvers)}
     return ConvergenceReport(config, results, time.perf_counter() - started)
 
 
@@ -255,24 +256,17 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
     covariance, which the tests do).  The h^{2H-2} growth lives in the
     noise itself and in second derivatives, not in the H1 norm.
     """
+    if config.solver == "both":
+        raise ValueError("the H1 study runs one solver; choose fem or greens")
     problem = config.problem()
-    hurst = HurstIndex(config.hurst)
     level_ns = config.level_ns()
-    fine_grid = UniformGrid(max(level_ns))
-    sampler = IncrementSampler(fine_grid, hurst, config.sampler)
 
-    def worker(m: int):
-        rng = np.random.default_rng([config.seed, m])
-        fine_path = sampler.sample(rng)
-        paths = _coupled_paths(fine_path, level_ns)
-        out = []
-        for n in level_ns:
-            solution = _solve_one(config.solver if config.solver != "both" else "fem",
-                                  problem, paths[n], config.tol, config.max_iters)
-            out.append(solution.h1_norm() ** 2)
-        return out
+    def h1_squared(fine_path: IncrementPath, paths: dict) -> list:
+        return [_solve_one(config.solver, problem, paths[n], config).h1_norm() ** 2
+                for n in level_ns]
 
-    rows = np.array(_run_samples(worker, config.samples, threads))
+    rows = _coupled_samples(h1_squared, max(level_ns), level_ns, config.hurst,
+                            config.sampler, config.samples, config.seed, threads)
     means = rows.mean(axis=0)
     stderr = rows.std(axis=0, ddof=1) / math.sqrt(config.samples)
     hs = [1.0 / n for n in level_ns]
@@ -295,16 +289,12 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
     the Ritz projection of the proxy and the level-n FEM solution decays one
     power of h faster than the error itself (rate H + 1 or better in RMS).
     """
+    if config.solver != "fem":
+        raise ValueError("the superconvergence study runs the FEM solver only")
     problem = config.problem()
-    hurst = HurstIndex(config.hurst)
     level_ns = config.level_ns()
-    fine_grid = UniformGrid(max(level_ns))
-    sampler = IncrementSampler(fine_grid, hurst, config.sampler)
 
-    def worker(m: int):
-        rng = np.random.default_rng([config.seed, m])
-        fine_path = sampler.sample(rng)
-        paths = _coupled_paths(fine_path, level_ns)
+    def projection_gaps(fine_path: IncrementPath, paths: dict) -> list:
         out = []
         for n in level_ns:
             path = paths[n]
@@ -316,11 +306,9 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
             out.append(discrete_h1_error(projected, fem.grid_function) ** 2)
         return out
 
-    rows = np.array(_run_samples(worker, config.samples, threads))
-    level_rows = _rms_levels(level_ns, rows)
-    rate, rate_se = estimate_rate([lv["h"] for lv in level_rows],
-                                  [lv["rms_error"] for lv in level_rows])
-    return {"levels": level_rows, "fitted_rate": rate, "rate_stderr": rate_se}
+    rows = _coupled_samples(projection_gaps, max(level_ns), level_ns, config.hurst,
+                            config.sampler, config.samples, config.seed, threads)
+    return _rate_block(level_ns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +478,8 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
     """
     hurst = _as_hurst(hurst)
     problem = ProblemSpec.from_labels(hurst, reaction, forcing)
-    fine_grid = UniformGrid(max(level_ns))
-    sampler = IncrementSampler(fine_grid, hurst)
 
-    def worker(m: int):
-        rng = np.random.default_rng([seed, m])
-        paths = _coupled_paths(sampler.sample(rng), level_ns)
+    def squared_gaps(fine_path: IncrementPath, paths: dict) -> list:
         out = []
         for n in level_ns:
             fem = solve_nonlinear_fem(problem, paths[n], tol=tol)
@@ -503,7 +487,8 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
             out.append(discrete_l2_error(fem.grid_function, mild.grid_function) ** 2)
         return out
 
-    rows = np.array(_run_samples(worker, samples, threads))
+    rows = _coupled_samples(squared_gaps, max(level_ns), level_ns, hurst, "cholesky",
+                            samples, seed, threads)
     levels = _rms_levels(level_ns, rows)
     gaps = [lv["rms_error"] for lv in levels]
     rate_target = min(hurst.value + 0.5, 1.0)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import GridMismatchError, NonConvergenceError
-from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
-from .greens import _GAUSS_OFFSETS, _gauss_points
+from .errors import GridMismatchError
+from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
+                    discrete_l2_error, gauss_values)
 from .noise import IncrementPath
-from .problem import COERCIVITY, ProblemSpec
+from .problem import ProblemSpec, damped_fixed_point
 
 __all__ = [
     "FemSolution",
@@ -74,15 +74,13 @@ def assemble_stiffness(grid: UniformGrid) -> Tridiagonal:
 
 def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray) -> np.ndarray:
     """Interior load vector (v, phi_j) from values at the per-cell Gauss points."""
-    t_lo, t_hi = _GAUSS_OFFSETS
+    t_lo, t_hi = GAUSS_OFFSETS
     w = 0.5 * grid.h
     lo, hi = values_at_gauss[0::2], values_at_gauss[1::2]
     to_left = w * ((1.0 - t_lo) * lo + (1.0 - t_hi) * hi)
     to_right = w * (t_lo * lo + t_hi * hi)
-    load = np.zeros(grid.n + 1)
-    np.add.at(load, np.arange(grid.n), to_left)
-    np.add.at(load, np.arange(1, grid.n + 1), to_right)
-    return load[1:-1]
+    # interior node j collects from its right cell j and its left cell j-1
+    return to_left[1:] + to_right[:-1]
 
 
 def _noise_load(grid: UniformGrid, path: IncrementPath) -> np.ndarray:
@@ -118,7 +116,7 @@ def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -
     """
     load = np.zeros(grid.n - 1)
     if forcing is not None:
-        values = np.asarray(forcing(_gauss_points(grid)), dtype=float)
+        values = np.asarray(forcing(grid.gauss_points()), dtype=float)
         load = load + _gauss_assemble(grid, values)
     if path is not None:
         load = load + _noise_load(grid, path)
@@ -163,10 +161,11 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
                         max_iters: int = 500) -> FemSolution:
     """Galerkin solution of -u'' + f(x, u) = g + noise.
 
-    Damped stiffness-preconditioned fixed point: each step solves the linear
-    problem with the current reaction load and relaxes by
-    theta = min(1, 2/(2 + L)).  For f = 0 the first step is the exact linear
-    solve and the loop exits with iterations = 1.
+    Damped stiffness-preconditioned fixed point (problem.damped_fixed_point):
+    each step solves the linear problem with the current reaction load and
+    relaxes by the reaction's step_size theta = min(1, 2/(2 + L)).  For
+    f = 0 the first step is the exact linear solve and the loop exits with
+    iterations = 1.
 
     Args:
         problem: Hurst index, reaction, forcing.
@@ -182,32 +181,18 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
         grid = path.grid
     stiffness = assemble_stiffness(grid)
     load = assemble_load(grid, forcing=problem.forcing, path=path)
-    theta = min(1.0, COERCIVITY / (COERCIVITY + problem.reaction.damping_constant))
-    gauss = _gauss_points(grid)
-    t_lo, t_hi = _GAUSS_OFFSETS
+    gauss = grid.gauss_points()
 
-    def reaction_load(interior: np.ndarray) -> np.ndarray:
-        u = np.concatenate([[0.0], interior, [0.0]])
-        at_gauss = np.empty(2 * grid.n)
-        at_gauss[0::2] = (1.0 - t_lo) * u[:-1] + t_lo * u[1:]
-        at_gauss[1::2] = (1.0 - t_hi) * u[:-1] + t_hi * u[1:]
-        return _gauss_assemble(grid, problem.reaction(gauss, at_gauss))
+    def defect(interior: np.ndarray) -> np.ndarray:
+        at_gauss = gauss_values(np.concatenate([[0.0], interior, [0.0]]))
+        reaction_load = _gauss_assemble(grid, problem.reaction(gauss, at_gauss))
+        return load - stiffness.matvec(interior) - reaction_load
 
-    u = np.zeros(grid.n - 1)
-    residual = math.inf
-    for iteration in range(max_iters + 1):
-        defect = load - stiffness.matvec(u) - reaction_load(u)
-        residual = _residual_norm(grid, defect)
-        if residual <= tol:
-            return FemSolution(grid, u, residual, iteration)
-        if iteration < max_iters:
-            u = u + theta * stiffness.solve(defect)
-    raise NonConvergenceError(
-        f"FEM fixed-point iteration stalled at residual {residual:.3e} "
-        f"after {max_iters} iterations",
-        residual=residual,
-        iterations=max_iters,
-    )
+    u, residual, iterations = damped_fixed_point(
+        defect, stiffness.solve, np.zeros(grid.n - 1),
+        lambda d: _residual_norm(grid, d), problem.reaction.step_size,
+        tol, max_iters, "FEM fixed-point iteration")
+    return FemSolution(grid, u, residual, iterations)
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:

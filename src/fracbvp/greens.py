@@ -15,15 +15,13 @@ iteration whose step size follows from the coercivity of K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
-from .grids import GridFunction, UniformGrid
+from .grids import GridFunction, UniformGrid, gauss_values
 from .noise import IncrementPath, plinear_self_isometry, step_noise
-from .problem import COERCIVITY, ProblemSpec
+from .problem import ProblemSpec, damped_fixed_point
 
 __all__ = [
     "MildSolution",
@@ -73,20 +71,6 @@ def greens_cell_integrals(x, grid: UniformGrid) -> np.ndarray:
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-# local coordinates of the two-point Gauss rule on each cell
-_GAUSS_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-
-
-def _gauss_points(grid: UniformGrid) -> np.ndarray:
-    """All 2n Gauss points, cell-major: (i, 0) then (i, 1) for cell i."""
-    nodes = grid.nodes()
-    left = nodes[:-1]
-    pts = np.empty(2 * grid.n)
-    pts[0::2] = left + _GAUSS_OFFSETS[0] * grid.h
-    pts[1::2] = left + _GAUSS_OFFSETS[1] * grid.h
-    return pts
-
-
 def _gauss_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
     """Weights mapping Gauss-point values of phi to (K phi)(points).
 
@@ -95,7 +79,7 @@ def _gauss_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
     the product is a per-cell quadratic and two-point Gauss integrates it
     exactly).
     """
-    return 0.5 * grid.h * greens_function(points[:, None], _gauss_points(grid)[None, :])
+    return 0.5 * grid.h * greens_function(points[:, None], grid.gauss_points()[None, :])
 
 
 def apply_greens_operator(phi, grid: UniformGrid, points=None) -> np.ndarray:
@@ -118,9 +102,9 @@ def apply_greens_operator(phi, grid: UniformGrid, points=None) -> np.ndarray:
         if phi.kind == "cell":
             return greens_cell_integrals(pts, phi.grid) @ phi.values
         grid = phi.grid
-        values = phi(_gauss_points(grid))
+        values = phi(grid.gauss_points())
     else:
-        values = np.asarray(phi(_gauss_points(grid)), dtype=float)
+        values = np.asarray(phi(grid.gauss_points()), dtype=float)
     return _gauss_matrix(grid, pts) @ values
 
 
@@ -206,36 +190,19 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     if grid is None:
         grid = path.grid
     nodes = grid.nodes()
-    gauss = _gauss_points(grid)
+    gauss = grid.gauss_points()
     weights = _gauss_matrix(grid, nodes)
 
     rhs = weights @ problem.forcing(gauss)
     if path is not None:
         rhs = rhs + stochastic_convolution(path, points=nodes)
 
-    theta = min(1.0, COERCIVITY / (COERCIVITY + problem.reaction.damping_constant))
-    # nodal-to-Gauss interpolation factors (same pair on every cell)
-    t_lo, t_hi = _GAUSS_OFFSETS
+    def defect(u: np.ndarray) -> np.ndarray:
+        return u + weights @ problem.reaction(gauss, gauss_values(u)) - rhs
 
-    def gauss_values(u: np.ndarray) -> np.ndarray:
-        left, right = u[:-1], u[1:]
-        out = np.empty(2 * grid.n)
-        out[0::2] = (1.0 - t_lo) * left + t_lo * right
-        out[1::2] = (1.0 - t_hi) * left + t_hi * right
-        return out
-
-    u = np.zeros(grid.n + 1)
-    residual = math.inf
-    for iteration in range(max_iters + 1):
-        defect = u + weights @ problem.reaction(gauss, gauss_values(u)) - rhs
-        residual = GridFunction(grid, defect, kind="nodal").l2_norm()
-        if residual <= tol:
-            return MildSolution(grid, u, residual, iteration)
-        if iteration < max_iters:
-            u = u - theta * defect
-    raise NonConvergenceError(
-        f"fixed-point iteration stalled at residual {residual:.3e} "
-        f"after {max_iters} iterations",
-        residual=residual,
-        iterations=max_iters,
-    )
+    # u + theta * (-d) rounds exactly like u - theta * d
+    u, residual, iterations = damped_fixed_point(
+        defect, np.negative, np.zeros(grid.n + 1),
+        lambda d: GridFunction(grid, d, kind="nodal").l2_norm(),
+        problem.reaction.step_size, tol, max_iters, "fixed-point iteration")
+    return MildSolution(grid, u, residual, iterations)

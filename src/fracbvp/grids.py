@@ -9,16 +9,21 @@ errors are computed exactly for those classes, never by sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "GAUSS_OFFSETS",
     "UniformGrid",
     "GridFunction",
     "discrete_l2_error",
     "discrete_h1_error",
+    "gauss_values",
 ]
+
+# local coordinates of the two-point Gauss rule on each cell
+GAUSS_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,13 @@ class UniformGrid:
         nodes = self.nodes()
         return 0.5 * (nodes[:-1] + nodes[1:])
 
-    def refine(self, factor: int) -> "UniformGrid":
-        if factor < 1:
-            raise ValueError(f"refinement factor must be >= 1, got {factor}")
-        return UniformGrid(self.n * factor)
+    def gauss_points(self) -> np.ndarray:
+        """All 2n Gauss points, cell-major: (i, 0) then (i, 1) for cell i."""
+        left = self.nodes()[:-1]
+        pts = np.empty(2 * self.n)
+        pts[0::2] = left + GAUSS_OFFSETS[0] * self.h
+        pts[1::2] = left + GAUSS_OFFSETS[1] * self.h
+        return pts
 
     def divides(self, finer: "UniformGrid") -> bool:
         """True if every cell of this grid is a union of cells of `finer`."""
@@ -87,11 +95,6 @@ class GridFunction:
         points = grid.nodes() if kind == "nodal" else grid.midpoints()
         return cls(grid, np.asarray(fn(points), dtype=float), kind)
 
-    @classmethod
-    def zeros(cls, grid: UniformGrid, kind: str = "nodal") -> "GridFunction":
-        size = grid.n + 1 if kind == "nodal" else grid.n
-        return cls(grid, np.zeros(size), kind)
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0) or np.any(x > 1.0):
@@ -119,6 +122,16 @@ class GridFunction:
 
     def h1_norm(self) -> float:
         return math.sqrt(self.l2_norm() ** 2 + self.h1_seminorm() ** 2)
+
+
+def gauss_values(nodal: np.ndarray) -> np.ndarray:
+    """Piecewise linear interpolant of n+1 nodal values at the 2n Gauss points."""
+    t_lo, t_hi = GAUSS_OFFSETS
+    left, right = nodal[:-1], nodal[1:]
+    out = np.empty(2 * len(left))
+    out[0::2] = (1.0 - t_lo) * left + t_lo * right
+    out[1::2] = (1.0 - t_hi) * left + t_hi * right
+    return out
 
 
 def _segment_samples(f: GridFunction, fine: UniformGrid):

@@ -30,6 +30,7 @@ arithmetic like 1 - b - delta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,39 +119,32 @@ def increment_covariance_matrix(grid: UniformGrid, hurst) -> np.ndarray:
     return toeplitz(rho)
 
 
-# Factorizations are deterministic in (n, H), so they are cached per process.
-_CHOLESKY_CACHE: dict = {}
-_SPECTRUM_CACHE: dict = {}
-
-
+# Factorizations are deterministic in (n, H), so the last four are cached per
+# process; the bound matters, as one Cholesky factor at n=8192 takes 512 MB.
+@functools.lru_cache(maxsize=4)
 def _cholesky_factor(n: int, H: float) -> np.ndarray:
-    key = (n, H)
-    if key not in _CHOLESKY_CACHE:
-        cov = increment_covariance_matrix(UniformGrid(n), HurstIndex(H))
-        try:
-            _CHOLESKY_CACHE[key] = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"increment covariance not positive definite for n={n}, H={H}: {exc}"
-            ) from exc
-    return _CHOLESKY_CACHE[key]
+    cov = increment_covariance_matrix(UniformGrid(n), HurstIndex(H))
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"increment covariance not positive definite for n={n}, H={H}: {exc}"
+        ) from exc
 
 
+@functools.lru_cache(maxsize=4)
 def _circulant_scale(n: int, H: float) -> np.ndarray:
     """sqrt of the circulant-embedding spectrum, length n+1, for size-2n FFTs."""
-    key = (n, H)
-    if key not in _SPECTRUM_CACHE:
-        rho = _increment_autocovariance(np.arange(n + 1), 1.0 / n, H)
-        row = np.concatenate([rho, rho[-2:0:-1]])  # circulant first row, length 2n
-        eig = np.fft.rfft(row).real
-        floor = -1e-10 * max(eig.max(), 1e-300)
-        if eig.min() < floor:
-            raise FactorizationError(
-                f"circulant embedding has negative eigenvalue {eig.min():.3e} "
-                f"for n={n}, H={H}"
-            )
-        _SPECTRUM_CACHE[key] = np.sqrt(np.clip(eig, 0.0, None))
-    return _SPECTRUM_CACHE[key]
+    rho = _increment_autocovariance(np.arange(n + 1), 1.0 / n, H)
+    row = np.concatenate([rho, rho[-2:0:-1]])  # circulant first row, length 2n
+    eig = np.fft.rfft(row).real
+    floor = -1e-10 * max(eig.max(), 1e-300)
+    if eig.min() < floor:
+        raise FactorizationError(
+            f"circulant embedding has negative eigenvalue {eig.min():.3e} "
+            f"for n={n}, H={H}"
+        )
+    return np.sqrt(np.clip(eig, 0.0, None))
 
 
 @dataclass(frozen=True)

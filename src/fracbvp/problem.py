@@ -9,11 +9,13 @@ well posed exactly when L stays below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "REACTIONS",
     "ProblemSpec",
     "ReactionTerm",
+    "damped_fixed_point",
     "linear_reaction",
     "make_forcing",
     "make_reaction",
@@ -32,6 +35,36 @@ __all__ = [
 
 # (K phi, phi) >= COERCIVITY * ||K phi||^2 for the Green's operator of -u''.
 COERCIVITY = 2.0
+
+
+def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
+                       residual_norm: Callable, theta: float, tol: float,
+                       max_iters: int, label: str) -> tuple:
+    """Iterate u <- u + theta * direction(defect(u)) from u0; the loop of both solvers.
+
+    Stops at the first iterate whose residual_norm(defect) is <= tol and
+    returns (u, residual, iterations).  Raises ValueError for a negative or
+    NaN tol or a negative max_iters, and NonConvergenceError after max_iters
+    steps without reaching tol.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be a number >= 0, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    u = u0
+    residual = math.inf
+    for iteration in range(max_iters + 1):
+        d = defect(u)
+        residual = residual_norm(d)
+        if residual <= tol:
+            return u, residual, iteration
+        if iteration < max_iters:
+            u = u + theta * direction(d)
+    raise NonConvergenceError(
+        f"{label} stalled at residual {residual:.3e} after {max_iters} iterations",
+        residual=residual,
+        iterations=max_iters,
+    )
 
 
 @dataclass(frozen=True)
@@ -79,6 +112,11 @@ class ReactionTerm:
         if self.lipschitz_constant is not None:
             return self.lipschitz_constant
         return max(self.monotone_constant, self.growth_constant, 0.0)
+
+    @property
+    def step_size(self) -> float:
+        """Damped-iteration step theta = min(1, 2/(2 + L)), L the damping constant."""
+        return min(1.0, COERCIVITY / (COERCIVITY + self.damping_constant))
 
     def spot_check(self, rng: np.random.Generator, trials: int = 200) -> None:
         """Randomized check of f(x,0)=0, the one-sided bound, and growth."""

@@ -145,6 +145,13 @@ class TestSolve:
         assert code == 2
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tolerance_exits_usage(self, capsys, tol):
+        code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "64",
+                                     "--f", "sin", "--tol", tol])
+        assert code == 1
+        assert "invalid request" in err
+
 
 class TestConverge:
     def test_csv_report(self, capsys):

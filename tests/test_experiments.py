@@ -187,6 +187,14 @@ class TestOtherStudies:
         print(f"superconvergence rate {result['fitted_rate']:.3f}")
         assert result["fitted_rate"] >= 0.25 + 1 - 0.2
 
+    def test_single_solver_studies_reject_solvers_they_do_not_run(self):
+        config = dict(hurst=0.25, n0=4, levels=2, samples=2, seed=1)
+        with pytest.raises(ValueError):
+            run_h1_blowup_study(StudyConfig(**config, solver="both"))
+        for solver in ("greens", "both"):
+            with pytest.raises(ValueError):
+                run_superconvergence_study(StudyConfig(**config, solver=solver))
+
 
 class TestVerificationChecks:
     def test_noise_norm_passes(self):

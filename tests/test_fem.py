@@ -171,6 +171,14 @@ class TestNonlinearSolve:
         with pytest.raises(NonConvergenceError):
             solve_nonlinear_fem(problem, path, max_iters=0)
 
+    @pytest.mark.parametrize("controls", [dict(max_iters=-1), dict(tol=-1.0),
+                                          dict(tol=math.nan)])
+    def test_invalid_iteration_controls_rejected(self, rng, controls):
+        path = sample_increments(UniformGrid(16), 0.25, rng)
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        with pytest.raises(ValueError):
+            solve_nonlinear_fem(problem, path, **controls)
+
     def test_nodally_equivalent_to_mild_solver(self, rng):
         # the Galerkin solve of each hat point load reproduces G at the
         # nodes, so with matching quadrature the two schemes define the same

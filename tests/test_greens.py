@@ -251,6 +251,14 @@ class TestHammersteinSolver:
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual > 0.0
 
+    @pytest.mark.parametrize("controls", [dict(max_iters=-1), dict(tol=-1.0),
+                                          dict(tol=math.nan)])
+    def test_invalid_iteration_controls_rejected(self, rng, controls):
+        path = sample_increments(UniformGrid(16), 0.25, rng)
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        with pytest.raises(ValueError):
+            solve_hammerstein(problem, path, **controls)
+
     def test_energy_bound(self, rng):
         # ||u|| <= ||F|| / (2 - L) with L the one-sided constant (sin: L=1)
         grid = UniformGrid(32)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracbvp import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
+from fracbvp.grids import gauss_values
 
 
 class TestUniformGrid:
@@ -28,6 +29,18 @@ class TestUniformGrid:
     def test_divides(self):
         assert UniformGrid(4).divides(UniformGrid(12))
         assert not UniformGrid(4).divides(UniformGrid(6))
+
+    def test_gauss_rule_exact_for_cubics(self):
+        grid = UniformGrid(5)
+        pts = grid.gauss_points()
+        assert pts.shape == (10,) and np.all(np.diff(pts) > 0.0)
+        assert 0.5 * grid.h * np.sum(pts**3 - pts**2) == pytest.approx(0.25 - 1.0 / 3.0)
+
+    def test_gauss_values_interpolate_nodal_values(self):
+        grid = UniformGrid(6)
+        nodal = np.sin(3.0 * grid.nodes())
+        expected = GridFunction(grid, nodal)(grid.gauss_points())
+        assert np.allclose(gauss_values(nodal), expected, atol=1e-15)
 
 
 class TestGridFunction:

@@ -30,6 +30,7 @@ from fracbvp import (
     singular_kernel_pair_sum_bound,
     step_noise,
 )
+from fracbvp import noise as noise_module
 from fracbvp.errors import GridMismatchError
 
 from oracles import plinear_second_moment_oracle, step_second_moment_oracle
@@ -134,6 +135,14 @@ class TestSamplers:
         a = chol.sample_many(np.random.default_rng(11), m)
         b = dh.sample_many(np.random.default_rng(12), m)
         assert abs(a.var() - b.var()) < 5e-3
+
+    def test_factor_caches_are_bounded(self):
+        # six distinct (n, H) pairs per method overflow the four-entry caches
+        for n, H in [(3, 0.1), (4, 0.1), (5, 0.2), (6, 0.3), (7, 0.4), (8, 0.45)]:
+            for method in ("cholesky", "davies-harte"):
+                IncrementSampler(UniformGrid(n), H, method)
+        for factor in (noise_module._cholesky_factor, noise_module._circulant_scale):
+            assert 1 <= factor.cache_info().currsize <= 4
 
 
 class TestAggregation:

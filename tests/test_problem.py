@@ -45,6 +45,12 @@ class TestReactionRegistry:
         # undamped step oscillates across the sqrt-clip kink at zero
         assert make_reaction("sqrt-clip").damping_constant == 2.0
 
+    def test_step_size(self):
+        # theta = min(1, 2 / (2 + L)) with L the damping constant
+        assert make_reaction("zero").step_size == 1.0
+        assert make_reaction("sin").step_size == 2.0 / 3.0
+        assert make_reaction("sqrt-clip").step_size == 0.5
+
     def test_spot_check_catches_violations(self, rng):
         bad = ReactionTerm(lambda x, r: r + 1.0, 0.0, 2.0, name="shifted")
         with pytest.raises(AssertionError):
