@@ -38,6 +38,7 @@ from .greens import (
     convolution_error_second_moment,
     greens_cell_integrals,
     greens_function,
+    hammerstein_operators,
     solve_hammerstein,
     stochastic_convolution,
 )

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import GridMismatchError
 from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
@@ -37,9 +37,19 @@ __all__ = [
 ]
 
 
+_GTSV = get_lapack_funcs("gtsv", (np.empty(0),))
+
+
+def _require_finite(array: np.ndarray) -> None:
+    # a sum of squares is finite only if every entry is; on overflow the
+    # exact elementwise test decides
+    if not math.isfinite(np.vdot(array, array)) and not np.isfinite(array).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal system stored by bands (interior nodes only)."""
+    """Real tridiagonal system stored by bands (interior nodes only)."""
 
     lower: np.ndarray
     diag: np.ndarray
@@ -52,11 +62,23 @@ class Tridiagonal:
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        banded = np.zeros((3, len(self.diag)))
-        banded[0, 1:] = self.upper
-        banded[1, :] = self.diag
-        banded[2, :-1] = self.lower
-        return solve_banded((1, 1), banded, rhs)
+        """LAPACK gtsv, the routine scipy's solve_banded((1, 1), ...) calls,
+        with its checks: ValueError on non-finite input or an illegal
+        argument, LinAlgError on a singular matrix, and a 1x1 system solved
+        by division."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[:1] != self.diag.shape:
+            raise ValueError("shapes of the bands and the right-hand side are not compatible")
+        for array in (self.lower, self.diag, self.upper, rhs):
+            _require_finite(array)
+        if len(self.diag) == 1:
+            return rhs / self.diag[0]
+        _, _, _, x, info = _GTSV(self.lower, self.diag, self.upper, rhs)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        return x
 
 
 def assemble_stiffness(grid: UniformGrid) -> Tridiagonal:

@@ -11,11 +11,16 @@ evaluated exactly through cell integrals of G; smooth integrands use a
 two-point Gauss rule per cell, which is exact because G(x_node, .) is linear
 on every cell.  The nonlinear equation is solved by a damped fixed-point
 iteration whose step size follows from the coercivity of K.
+
+The two dense nodal operators of a grid (Gauss weights and cell integrals)
+depend on the grid only; `hammerstein_operators` builds them read-only, so a
+study builds them once per grid and shares them across samples and threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +29,14 @@ from .noise import IncrementPath, plinear_self_isometry, step_noise
 from .problem import ProblemSpec, damped_fixed_point
 
 __all__ = [
+    "OPERATOR_BYTES_BUDGET",
+    "HammersteinOperators",
     "MildSolution",
     "apply_greens_operator",
     "convolution_error_second_moment",
     "greens_cell_integrals",
     "greens_function",
+    "hammerstein_operators",
     "solve_hammerstein",
     "stochastic_convolution",
 ]
@@ -80,6 +88,40 @@ def _gauss_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
     exactly).
     """
     return 0.5 * grid.h * greens_function(points[:, None], grid.gauss_points()[None, :])
+
+
+# Largest combined size of the two dense operators of one grid, 24 (n+1) n
+# bytes: n = 4096 needs about 403 MB, n = 6689 is the first grid refused.
+# Building them takes a few times more memory for temporaries.
+OPERATOR_BYTES_BUDGET = 1 << 30
+
+
+class HammersteinOperators(NamedTuple):
+    """Read-only nodal operators of the mild solver on one grid with n cells."""
+
+    weights: np.ndarray  # (n+1, 2n): Gauss-point values of phi -> (K phi)(nodes)
+    cells: np.ndarray  # (n+1, n): cell densities of phi -> (K phi)(nodes), or None
+
+
+def hammerstein_operators(grid: UniformGrid, with_cells: bool = True) -> HammersteinOperators:
+    """Build the dense Gauss-weight and cell-integral matrices of `grid`.
+
+    with_cells=False leaves cells None; only the noise term needs it.
+    Raises ValueError, before allocating anything, when the two matrices
+    together would exceed OPERATOR_BYTES_BUDGET.
+    """
+    needed = 24 * (grid.n + 1) * grid.n
+    if needed > OPERATOR_BYTES_BUDGET:
+        raise ValueError(
+            f"the Hammerstein operators for n={grid.n} need {needed} bytes, over "
+            f"the budget of {OPERATOR_BYTES_BUDGET} bytes (OPERATOR_BYTES_BUDGET)")
+    nodes = grid.nodes()
+    operators = HammersteinOperators(
+        _gauss_matrix(grid, nodes), greens_cell_integrals(nodes, grid) if with_cells else None)
+    for matrix in operators:
+        if matrix is not None:
+            matrix.flags.writeable = False
+    return operators
 
 
 def apply_greens_operator(phi, grid: UniformGrid, points=None) -> np.ndarray:
@@ -167,7 +209,8 @@ class MildSolution:
 
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
-                      max_iters: int = 500) -> MildSolution:
+                      max_iters: int = 500,
+                      operators: HammersteinOperators = None) -> MildSolution:
     """Solve u + K f(., u) = K g + K noise by damped fixed-point iteration.
 
     The step size theta = min(1, 2/(2 + L)) makes the iteration a
@@ -181,6 +224,7 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         grid: solver grid; defaults to the path's grid.
         tol: discrete L2 residual tolerance.
         max_iters: iteration cap; NonConvergenceError beyond it.
+        operators: hammerstein_operators(grid), prebuilt; None builds them.
 
     Returns:
         MildSolution with nodal values, final residual, iteration count.
@@ -189,13 +233,20 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
-    nodes = grid.nodes()
+    if operators is None:
+        operators = hammerstein_operators(grid, with_cells=path is not None)
+    elif operators.weights.shape != (grid.n + 1, 2 * grid.n):
+        raise ValueError(f"operators of shape {operators.weights.shape} do not "
+                         f"belong to a grid with {grid.n} cells")
     gauss = grid.gauss_points()
-    weights = _gauss_matrix(grid, nodes)
+    weights = operators.weights
 
     rhs = weights @ problem.forcing(gauss)
     if path is not None:
-        rhs = rhs + stochastic_convolution(path, points=nodes)
+        if operators.cells is not None and path.grid.n == grid.n:
+            rhs = rhs + operators.cells @ step_noise(path).values
+        else:
+            rhs = rhs + stochastic_convolution(path, points=grid.nodes())
 
     def defect(u: np.ndarray) -> np.ndarray:
         return u + weights @ problem.reaction(gauss, gauss_values(u)) - rhs

@@ -138,6 +138,12 @@ class TestSolve:
         assert len(payload["x"]) == 5 and len(payload["u_fem"]) == 5
         assert "residual_fem" in payload
 
+    def test_greens_grid_over_memory_budget_exits_usage(self, capsys):
+        code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "8192",
+                                     "--solver", "greens", "--zero-noise"])
+        assert code == 1
+        assert "invalid request" in err and "n=8192" in err
+
     def test_unreachable_tolerance_exits_numerical(self, capsys):
         code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "8",
                                      "--f", "sin", "--g", "one", "--seed", "2",

@@ -1,6 +1,7 @@
 """Monte Carlo harness: coupling, rate fits, determinism, verification checks."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ class TestConvergenceStudy:
         a = json.dumps(serial.to_dict(include_timing=False), sort_keys=True)
         b = json.dumps(pooled.to_dict(include_timing=False), sort_keys=True)
         assert a == b
+
+    def test_shared_greens_operators_invisible_across_threads(self):
+        # the threads share one read-only set of operators per grid; more
+        # threads than cores and frequent switches give interleavings a chance
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,
+                             ref_extra=1, samples=8, seed=4, solver="greens")
+        serial = run_convergence_study(config, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_convergence_study(config, threads=2)
+            crowded = run_convergence_study(config, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        a = json.dumps(serial.to_dict(include_timing=False), sort_keys=True)
+        b = json.dumps(pooled.to_dict(include_timing=False), sort_keys=True)
+        c = json.dumps(crowded.to_dict(include_timing=False), sort_keys=True)
+        assert a == b == c
 
     def test_timing_excluded_on_request(self):
         config = StudyConfig(hurst=0.25, n0=4, levels=2, samples=2, seed=1)

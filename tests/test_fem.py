@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from fracbvp import (
     GridFunction,
@@ -38,6 +38,66 @@ class TestTridiagonal:
         b = rng.normal(size=n)
         x = tri.solve(b)
         assert np.allclose(tri.matvec(x), b, atol=1e-12)
+
+
+class TestTridiagonalSolve:
+    """Tridiagonal.solve calls LAPACK gtsv directly; it must match scipy's
+    solve_banded bit for bit and keep its checks."""
+
+    @staticmethod
+    def _banded(tri):
+        banded = np.zeros((3, len(tri.diag)))
+        banded[0, 1:] = tri.upper
+        banded[1, :] = tri.diag
+        banded[2, :-1] = tri.lower
+        return banded
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 511])
+    def test_bit_identical_to_solve_banded(self, rng, m):
+        tri = Tridiagonal(rng.normal(size=m - 1), 4.0 + rng.normal(size=m),
+                          rng.normal(size=m - 1))
+        rhs = rng.normal(size=m)
+        before = rhs.copy()
+        x = tri.solve(rhs)
+        assert np.array_equal(x, solve_banded((1, 1), self._banded(tri), rhs))
+        assert np.array_equal(rhs, before)
+
+    @pytest.mark.parametrize("m", [1, 2, 511])
+    def test_stiffness_solve_bit_identical(self, rng, m):
+        stiffness = assemble_stiffness(UniformGrid(m + 1))
+        rhs = rng.normal(size=m)
+        assert np.array_equal(stiffness.solve(rhs),
+                              solve_banded((1, 1), self._banded(stiffness), rhs))
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_non_finite_input_rejected(self, m):
+        tri = Tridiagonal(-np.ones(m - 1), 4.0 * np.ones(m), -np.ones(m - 1))
+        rhs = np.ones(m)
+        rhs[-1] = np.nan
+        with pytest.raises(ValueError):
+            tri.solve(rhs)
+        diag = 4.0 * np.ones(m)
+        diag[0] = np.inf
+        with pytest.raises(ValueError):
+            Tridiagonal(-np.ones(m - 1), diag, -np.ones(m - 1)).solve(np.ones(m))
+
+    def test_huge_finite_input_accepted(self):
+        # squares overflow here, so the exact elementwise test must decide
+        tri = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
+        rhs = np.array([1e300, -1e300, 1e300])
+        assert np.array_equal(tri.solve(rhs), rhs)
+
+    def test_singular_system_raises(self):
+        tri = Tridiagonal(np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), np.zeros(3))
+        with pytest.raises(LinAlgError):
+            tri.solve(np.ones(4))
+        with pytest.raises(LinAlgError):
+            solve_banded((1, 1), self._banded(tri), np.ones(4))
+
+    def test_shape_mismatch_rejected(self):
+        tri = Tridiagonal(np.zeros(0), np.ones(1), np.zeros(0))
+        with pytest.raises(ValueError):
+            tri.solve(np.ones(3))
 
 
 class TestAssembly:

@@ -17,6 +17,7 @@ from fracbvp import (
     estimate_rate,
     greens_cell_integrals,
     greens_function,
+    hammerstein_operators,
     plinear_self_isometry,
     ito_isometry,
     sample_increments,
@@ -24,7 +25,9 @@ from fracbvp import (
     step_noise,
     stochastic_convolution,
 )
+from fracbvp import greens
 from fracbvp.errors import NonConvergenceError
+from fracbvp.greens import OPERATOR_BYTES_BUDGET
 from fracbvp.noise import StepFunction
 
 from oracles import plinear_second_moment_oracle
@@ -271,3 +274,77 @@ class TestHammersteinSolver:
             bound = math.sqrt(force_sq) / (2.0 - 1.0)
             norm = solution.grid_function.l2_norm()
             assert norm <= bound + 1e-12, (norm, bound)
+
+
+class TestHammersteinOperators:
+    @pytest.mark.parametrize("n", [2, 16, 1024])
+    def test_prebuilt_operators_give_identical_solutions(self, n):
+        grid = UniformGrid(n)
+        path = sample_increments(grid, 0.25, np.random.default_rng(n))
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        operators = hammerstein_operators(grid)
+        built = solve_hammerstein(problem, path)
+        shared = solve_hammerstein(problem, path, operators=operators)
+        assert np.array_equal(built.values, shared.values)
+        assert (built.residual, built.iterations) == (shared.residual, shared.iterations)
+        # the deterministic problem and a second solve reuse them unchanged
+        assert np.array_equal(solve_hammerstein(problem, grid=grid).values,
+                              solve_hammerstein(problem, grid=grid, operators=operators).values)
+        again = solve_hammerstein(problem, path, operators=operators)
+        assert np.array_equal(again.values, shared.values)
+
+    def test_cell_matrix_built_only_for_noise(self, rng, monkeypatch):
+        grid = UniformGrid(16)
+        path = sample_increments(grid, 0.25, rng)
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        without_cells = hammerstein_operators(grid, with_cells=False)
+        assert without_cells.cells is None
+        # the noise term then falls back to the exact convolution
+        assert np.array_equal(solve_hammerstein(problem, path).values,
+                              solve_hammerstein(problem, path, operators=without_cells).values)
+        calls = []
+        monkeypatch.setattr(greens, "greens_cell_integrals",
+                            lambda *args: calls.append(args) or greens_cell_integrals(*args))
+        solve_hammerstein(problem, grid=grid)
+        assert calls == []
+
+    def test_operators_are_read_only_and_exact(self):
+        grid = UniformGrid(16)
+        operators = hammerstein_operators(grid)
+        nodes = grid.nodes()
+        assert operators.weights.shape == (17, 32) and operators.cells.shape == (17, 16)
+        assert np.array_equal(operators.cells, greens_cell_integrals(nodes, grid))
+        for matrix in operators:
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_operators_of_another_grid_rejected(self, rng):
+        path = sample_increments(UniformGrid(16), 0.25, rng)
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        with pytest.raises(ValueError, match="16 cells"):
+            solve_hammerstein(problem, path, operators=hammerstein_operators(UniformGrid(8)))
+
+    def test_memory_budget_refuses_before_allocating(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("operators allocated past the budget")
+
+        monkeypatch.setattr(greens, "_gauss_matrix", must_not_run)
+        monkeypatch.setattr(greens, "greens_cell_integrals", must_not_run)
+        n = 8192
+        needed = 24 * (n + 1) * n
+        assert needed > OPERATOR_BYTES_BUDGET
+        with pytest.raises(ValueError) as excinfo:
+            hammerstein_operators(UniformGrid(n))
+        message = str(excinfo.value)
+        assert f"n={n}" in message and str(needed) in message
+        assert str(OPERATOR_BYTES_BUDGET) in message
+        with pytest.raises(ValueError):
+            solve_hammerstein(ProblemSpec.from_labels(0.25, "zero", "zero"),
+                              grid=UniformGrid(n))
+
+    def test_memory_budget_admits_4096(self, monkeypatch):
+        # about 403 MB; stand-ins keep the test from allocating them
+        monkeypatch.setattr(greens, "_gauss_matrix", lambda grid, nodes: np.zeros((1, 1)))
+        monkeypatch.setattr(greens, "greens_cell_integrals", lambda x, grid: np.zeros((1, 1)))
+        assert len(hammerstein_operators(UniformGrid(4096))) == 2
