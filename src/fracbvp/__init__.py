@@ -34,13 +34,11 @@ from .fem import (
 )
 from .greens import (
     MildSolution,
-    apply_greens_operator,
     convolution_error_second_moment,
     greens_cell_integrals,
     greens_function,
     hammerstein_operators,
     solve_hammerstein,
-    stochastic_convolution,
 )
 from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
 from .noise import (
@@ -52,7 +50,6 @@ from .noise import (
     fbm_covariance,
     increment_covariance_matrix,
     ito_isometry,
-    ito_isometry_via_covariance,
     plinear_self_isometry,
     sample_increments,
     singular_kernel_pair_sum,

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .errors import GridMismatchError
 from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
                     discrete_l2_error, gauss_values)
-from .noise import IncrementPath
+from .noise import IncrementPath, increments_on
 from .problem import ProblemSpec, damped_fixed_point
 
 __all__ = [
@@ -105,26 +104,6 @@ def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray) -> np.ndarra
     return to_left[1:] + to_right[:-1]
 
 
-def _noise_load(grid: UniformGrid, path: IncrementPath) -> np.ndarray:
-    """Exact (noise, phi_j): averaged increments of the two touching cells.
-
-    The noise may live on the FEM grid or on any coarser grid that divides
-    it; the density is constant on every FEM cell either way.
-    """
-    if path.grid.n == grid.n:
-        inc = path.increments
-    elif path.grid.divides(grid):
-        factor = grid.n // path.grid.n
-        # each FEM cell inherits a share of its parent's increment
-        inc = np.repeat(path.increments / factor, factor)
-    else:
-        raise GridMismatchError(
-            f"noise on {path.grid.n} cells does not divide the FEM grid "
-            f"with {grid.n} cells"
-        )
-    return 0.5 * (inc[:-1] + inc[1:])
-
-
 def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -> np.ndarray:
     """Interior load vector (g, phi_j) + (noise, phi_j).
 
@@ -141,7 +120,9 @@ def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -
         values = np.asarray(forcing(grid.gauss_points()), dtype=float)
         load = load + _gauss_assemble(grid, values)
     if path is not None:
-        load = load + _noise_load(grid, path)
+        # exact (noise, phi_j): averaged increments of the two touching cells
+        inc = increments_on(path, grid)
+        load = load + 0.5 * (inc[:-1] + inc[1:])
     return load
 
 

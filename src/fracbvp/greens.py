@@ -6,39 +6,36 @@ homogeneous Dirichlet data inverts to the Hammerstein equation
     u(x) + (K f(., u))(x) = (K g)(x) + (K noise)(x),
 
 where (K phi)(x) = int_0^1 G(x, y) phi(y) dy and G(x, y) = min(x, y) - x y.
-The discretized noise is piecewise constant, so its convolution with G is
-evaluated exactly through cell integrals of G; smooth integrands use a
-two-point Gauss rule per cell, which is exact because G(x_node, .) is linear
-on every cell.  The nonlinear equation is solved by a damped fixed-point
+G(x_node, .) is linear on every cell, so a two-point Gauss rule per cell
+integrates it exactly against anything piecewise linear: the forcing's
+interpolant, the reaction f(., u) of a nodal u, and the piecewise constant
+noise alike.  The nonlinear equation is solved by a damped fixed-point
 iteration whose step size follows from the coercivity of K.
 
-The two dense nodal operators of a grid (Gauss weights and cell integrals)
-depend on the grid only; `hammerstein_operators` builds them read-only, so a
-study builds them once per grid and shares them across samples and threads.
+The one dense nodal operator of a grid, the (n+1, 2n) matrix of Gauss
+weights, depends on the grid only; `hammerstein_operators` builds it
+read-only, so a study builds it once per grid and shares it across samples
+and threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .grids import GridFunction, UniformGrid, gauss_values
-from .noise import IncrementPath, plinear_self_isometry, step_noise
+from .noise import IncrementPath, increments_on, plinear_self_isometry
 from .problem import ProblemSpec, damped_fixed_point
 
 __all__ = [
     "OPERATOR_BYTES_BUDGET",
-    "HammersteinOperators",
     "MildSolution",
-    "apply_greens_operator",
     "convolution_error_second_moment",
     "greens_cell_integrals",
     "greens_function",
     "hammerstein_operators",
     "solve_hammerstein",
-    "stochastic_convolution",
 ]
 
 
@@ -90,78 +87,27 @@ def _gauss_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
     return 0.5 * grid.h * greens_function(points[:, None], grid.gauss_points()[None, :])
 
 
-# Largest combined size of the two dense operators of one grid, 24 (n+1) n
-# bytes: n = 4096 needs about 403 MB, n = 6689 is the first grid refused.
-# Building them takes a few times more memory for temporaries.
+# Largest size of the dense operator of one grid, 16 (n+1) n bytes: n = 4096
+# needs about 269 MB, n = 8192 is the first grid refused.  Building it peaks
+# near twice the matrix, for the temporaries of greens_function.
 OPERATOR_BYTES_BUDGET = 1 << 30
 
 
-class HammersteinOperators(NamedTuple):
-    """Read-only nodal operators of the mild solver on one grid with n cells."""
+def hammerstein_operators(grid: UniformGrid) -> np.ndarray:
+    """The read-only (n+1, 2n) Gauss-weight matrix of `grid`.
 
-    weights: np.ndarray  # (n+1, 2n): Gauss-point values of phi -> (K phi)(nodes)
-    cells: np.ndarray  # (n+1, n): cell densities of phi -> (K phi)(nodes), or None
-
-
-def hammerstein_operators(grid: UniformGrid, with_cells: bool = True) -> HammersteinOperators:
-    """Build the dense Gauss-weight and cell-integral matrices of `grid`.
-
-    with_cells=False leaves cells None; only the noise term needs it.
-    Raises ValueError, before allocating anything, when the two matrices
-    together would exceed OPERATOR_BYTES_BUDGET.
+    Maps the values of phi at the per-cell Gauss points to (K phi) at the
+    nodes; raises ValueError, before allocating anything, when the matrix
+    would exceed OPERATOR_BYTES_BUDGET.
     """
-    needed = 24 * (grid.n + 1) * grid.n
+    needed = 16 * (grid.n + 1) * grid.n
     if needed > OPERATOR_BYTES_BUDGET:
         raise ValueError(
-            f"the Hammerstein operators for n={grid.n} need {needed} bytes, over "
+            f"the Hammerstein operator for n={grid.n} needs {needed} bytes, over "
             f"the budget of {OPERATOR_BYTES_BUDGET} bytes (OPERATOR_BYTES_BUDGET)")
-    nodes = grid.nodes()
-    operators = HammersteinOperators(
-        _gauss_matrix(grid, nodes), greens_cell_integrals(nodes, grid) if with_cells else None)
-    for matrix in operators:
-        if matrix is not None:
-            matrix.flags.writeable = False
-    return operators
-
-
-def apply_greens_operator(phi, grid: UniformGrid, points=None) -> np.ndarray:
-    """(K phi)(points) for phi a GridFunction or a callable.
-
-    Cell-kind grid functions integrate exactly against the Green's function;
-    nodal-kind functions and callables go through the per-cell Gauss rule,
-    which is exact for nodal functions when `points` are grid nodes.
-
-    Args:
-        phi: GridFunction, or vectorized callable on [0, 1].
-        grid: quadrature grid (for callables) or phi's own grid.
-        points: evaluation points; defaults to the grid nodes.
-
-    Returns:
-        Array of (K phi) values, shape like `points`.
-    """
-    pts = grid.nodes() if points is None else np.asarray(points, dtype=float)
-    if isinstance(phi, GridFunction):
-        if phi.kind == "cell":
-            return greens_cell_integrals(pts, phi.grid) @ phi.values
-        grid = phi.grid
-        values = phi(grid.gauss_points())
-    else:
-        values = np.asarray(phi(grid.gauss_points()), dtype=float)
-    return _gauss_matrix(grid, pts) @ values
-
-
-def stochastic_convolution(path: IncrementPath, points=None) -> GridFunction:
-    """(K noise)(x) for the piecewise constant noise of a path, exactly.
-
-    Returns the nodal grid function on the path's grid when `points` is
-    omitted; G vanishes on the boundary, so the result does too.
-    """
-    density = step_noise(path)
-    if points is None:
-        values = greens_cell_integrals(path.grid.nodes(), path.grid) @ density.values
-        return GridFunction(path.grid, values, kind="nodal")
-    values = greens_cell_integrals(np.asarray(points, dtype=float), path.grid) @ density.values
-    return values
+    weights = _gauss_matrix(grid, grid.nodes())
+    weights.flags.writeable = False
+    return weights
 
 
 def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
@@ -210,7 +156,7 @@ class MildSolution:
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
                       max_iters: int = 500,
-                      operators: HammersteinOperators = None) -> MildSolution:
+                      operators: np.ndarray = None) -> MildSolution:
     """Solve u + K f(., u) = K g + K noise by damped fixed-point iteration.
 
     The step size theta = min(1, 2/(2 + L)) makes the iteration a
@@ -220,11 +166,12 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
 
     Args:
         problem: Hurst index, reaction, forcing.
-        path: noise increments; None solves the deterministic problem.
+        path: noise increments on the solver grid or a coarser divisor;
+            None solves the deterministic problem.
         grid: solver grid; defaults to the path's grid.
         tol: discrete L2 residual tolerance.
         max_iters: iteration cap; NonConvergenceError beyond it.
-        operators: hammerstein_operators(grid), prebuilt; None builds them.
+        operators: hammerstein_operators(grid), prebuilt; None builds it.
 
     Returns:
         MildSolution with nodal values, final residual, iteration count.
@@ -234,22 +181,19 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     if grid is None:
         grid = path.grid
     if operators is None:
-        operators = hammerstein_operators(grid, with_cells=path is not None)
-    elif operators.weights.shape != (grid.n + 1, 2 * grid.n):
-        raise ValueError(f"operators of shape {operators.weights.shape} do not "
+        operators = hammerstein_operators(grid)
+    elif operators.shape != (grid.n + 1, 2 * grid.n):
+        raise ValueError(f"operators of shape {operators.shape} do not "
                          f"belong to a grid with {grid.n} cells")
     gauss = grid.gauss_points()
-    weights = operators.weights
-
-    rhs = weights @ problem.forcing(gauss)
+    density = problem.forcing(gauss)
     if path is not None:
-        if operators.cells is not None and path.grid.n == grid.n:
-            rhs = rhs + operators.cells @ step_noise(path).values
-        else:
-            rhs = rhs + stochastic_convolution(path, points=grid.nodes())
+        # the noise density is constant on each cell, so both Gauss points see it
+        density = density + np.repeat(increments_on(path, grid) / grid.h, 2)
+    rhs = operators @ density
 
     def defect(u: np.ndarray) -> np.ndarray:
-        return u + weights @ problem.reaction(gauss, gauss_values(u)) - rhs
+        return u + operators @ problem.reaction(gauss, gauss_values(u)) - rhs
 
     # u + theta * (-d) rounds exactly like u - theta * d
     u, residual, iterations = damped_fixed_point(

@@ -8,8 +8,9 @@ motion W with covariance
 restricted here to 0 < H <= 1/2, where increments are negatively correlated
 (H < 1/2) or independent (H = 1/2).  The module provides exact increment
 sampling (Cholesky and circulant embedding), aggregation of fine increments
-onto coarser grids, and closed forms for the second moments of stochastic
-integrals of step and piecewise linear functions.
+onto coarser grids, the spreading of a path over a finer solver grid, and
+closed forms for the second moments of stochastic integrals of step and
+piecewise linear functions.
 
 For a step function f the second moment of int f dW is
 
@@ -47,8 +48,8 @@ __all__ = [
     "aggregate_increments",
     "fbm_covariance",
     "increment_covariance_matrix",
+    "increments_on",
     "ito_isometry",
-    "ito_isometry_via_covariance",
     "plinear_self_isometry",
     "sample_increments",
     "singular_kernel_pair_sum",
@@ -251,6 +252,24 @@ def aggregate_increments(path: IncrementPath, factor: int) -> IncrementPath:
     return IncrementPath(coarse, summed)
 
 
+def increments_on(path: IncrementPath, grid: UniformGrid) -> np.ndarray:
+    """The path's increments spread over the cells of a solver grid.
+
+    The noise may live on `grid` or on any coarser grid that divides it;
+    each cell of `grid` inherits an equal share of its parent's increment,
+    so the noise density stays the same.  Any other grid raises
+    GridMismatchError.
+    """
+    if path.grid.n == grid.n:
+        return path.increments
+    if not path.grid.divides(grid):
+        raise GridMismatchError(
+            f"noise on {path.grid.n} cells does not divide the solver grid "
+            f"with {grid.n} cells")
+    factor = grid.n // path.grid.n
+    return np.repeat(path.increments / factor, factor)
+
+
 def step_noise(path: IncrementPath) -> GridFunction:
     """Piecewise constant noise density DW_i / h on the path's grid.
 
@@ -371,24 +390,6 @@ def ito_isometry(f, g=None, hurst=None) -> float:
     w2 = (rising[1:] - rising[:-1]) + (falling[:-1] - falling[1:])
     t2 = float(math.fsum(fv * gv * w2)) / two_h
     return H * (1.0 - two_h) / 2.0 * t1 + H * t2
-
-
-def ito_isometry_via_covariance(f, g=None, hurst=None) -> float:
-    """Same pairing as ito_isometry through the increment covariance matrix.
-
-    Independent route: E[ int f dW int g dW ] = f^T C g where C collects the
-    covariances of the fBm increments over the refined pieces.  Used to
-    cross-validate the closed form; O(N^2) in the piece count.
-    """
-    if hurst is None:
-        raise TypeError("hurst is required")
-    hurst = _as_hurst(hurst)
-    f = _as_step(f)
-    g = f if g is None else _as_step(g)
-    edges, fv, gv = _common_refinement(f, g)
-    r = fbm_covariance(edges[:, None], edges[None, :], hurst)
-    cov = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
-    return float(fv @ cov @ gv)
 
 
 def singular_kernel_pair_sum(grid: UniformGrid, hurst) -> float:

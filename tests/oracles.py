@@ -2,11 +2,15 @@
 
 These deliberately avoid the closed forms under test: second moments are
 computed through the covariance function of the driving motion (integration
-by parts against R), with adaptive quadrature for the smooth pieces.
+by parts against R), with adaptive quadrature for the smooth pieces, and
+the Green's operator of a step density through exact cell integrals of G
+instead of the solver's Gauss weights.
 """
 
 import numpy as np
 from scipy import integrate
+
+from fracbvp import GridFunction, fbm_covariance, greens_cell_integrals, greens_function, step_noise
 
 
 def fbm_cov(x, y, H):
@@ -68,3 +72,48 @@ def step_second_moment_oracle(breakpoints, values, H, samples=None, rng=None):
     factor = np.linalg.cholesky(cov)
     draws = rng.standard_normal((samples, len(vals))) @ factor.T
     return float((draws @ vals).var(ddof=1))
+
+
+def ito_isometry_via_covariance(f, g=None, hurst=None):
+    """E[ int f dW int g dW ] for step functions as f^T C g, where C collects
+    the covariances of the fBm increments over the common refinement of the
+    breakpoints.  O(N^2) in the piece count."""
+    if hurst is None:
+        raise TypeError("hurst is required")
+    g = f if g is None else g
+    edges = np.union1d(f.breakpoints, g.breakpoints)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    r = fbm_covariance(edges[:, None], edges[None, :], hurst)
+    cov = r[1:, 1:] - r[1:, :-1] - r[:-1, 1:] + r[:-1, :-1]
+    return float(f(mids) @ cov @ g(mids))
+
+
+def apply_greens_operator(phi, grid, points=None):
+    """(K phi)(points) for phi a GridFunction or a vectorized callable.
+
+    Cell-kind grid functions integrate exactly against G through its cell
+    integrals; nodal functions and callables go through the per-cell
+    two-point Gauss rule on phi's grid (or `grid` for callables).
+    """
+    pts = grid.nodes() if points is None else np.asarray(points, dtype=float)
+    if isinstance(phi, GridFunction):
+        if phi.kind == "cell":
+            return greens_cell_integrals(pts, phi.grid) @ phi.values
+        grid = phi.grid
+        values = phi(grid.gauss_points())
+    else:
+        values = np.asarray(phi(grid.gauss_points()), dtype=float)
+    return 0.5 * grid.h * greens_function(pts[:, None], grid.gauss_points()[None, :]) @ values
+
+
+def stochastic_convolution(path, points=None):
+    """(K noise)(x) for the piecewise constant noise of a path, exactly.
+
+    Returns the nodal GridFunction on the path's grid when `points` is
+    omitted, else the values at `points`.
+    """
+    density = step_noise(path).values
+    if points is None:
+        values = greens_cell_integrals(path.grid.nodes(), path.grid) @ density
+        return GridFunction(path.grid, values, kind="nodal")
+    return greens_cell_integrals(np.asarray(points, dtype=float), path.grid) @ density

@@ -11,7 +11,7 @@ from fracbvp import (
     GridFunction,
     ProblemSpec,
     UniformGrid,
-    apply_greens_operator,
+    aggregate_increments,
     convolution_error_second_moment,
     discrete_l2_error,
     estimate_rate,
@@ -22,15 +22,15 @@ from fracbvp import (
     ito_isometry,
     sample_increments,
     solve_hammerstein,
+    solve_nonlinear_fem,
     step_noise,
-    stochastic_convolution,
 )
 from fracbvp import greens
-from fracbvp.errors import NonConvergenceError
+from fracbvp.errors import GridMismatchError, NonConvergenceError
 from fracbvp.greens import OPERATOR_BYTES_BUDGET
 from fracbvp.noise import StepFunction
 
-from oracles import plinear_second_moment_oracle
+from oracles import apply_greens_operator, plinear_second_moment_oracle, stochastic_convolution
 
 
 class TestGreensFunction:
@@ -293,31 +293,35 @@ class TestHammersteinOperators:
         again = solve_hammerstein(problem, path, operators=operators)
         assert np.array_equal(again.values, shared.values)
 
-    def test_cell_matrix_built_only_for_noise(self, rng, monkeypatch):
+    def test_no_solve_reaches_the_cell_integrals(self, rng, monkeypatch):
+        # the noise goes through the Gauss weights, so no solve builds a
+        # cell-integral matrix, whatever grid its noise lives on
         grid = UniformGrid(16)
         path = sample_increments(grid, 0.25, rng)
         problem = ProblemSpec.from_labels(0.25, "sin", "one")
-        without_cells = hammerstein_operators(grid, with_cells=False)
-        assert without_cells.cells is None
-        # the noise term then falls back to the exact convolution
-        assert np.array_equal(solve_hammerstein(problem, path).values,
-                              solve_hammerstein(problem, path, operators=without_cells).values)
-        calls = []
-        monkeypatch.setattr(greens, "greens_cell_integrals",
-                            lambda *args: calls.append(args) or greens_cell_integrals(*args))
+        operators = hammerstein_operators(grid)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("solve_hammerstein built a cell-integral matrix")
+
+        monkeypatch.setattr(greens, "greens_cell_integrals", must_not_run)
+        solve_hammerstein(problem, path)
+        solve_hammerstein(problem, path, operators=operators)
+        solve_hammerstein(problem, aggregate_increments(path, 4), grid=grid)
         solve_hammerstein(problem, grid=grid)
-        assert calls == []
 
     def test_operators_are_read_only_and_exact(self):
         grid = UniformGrid(16)
         operators = hammerstein_operators(grid)
         nodes = grid.nodes()
-        assert operators.weights.shape == (17, 32) and operators.cells.shape == (17, 16)
-        assert np.array_equal(operators.cells, greens_cell_integrals(nodes, grid))
-        for matrix in operators:
-            assert not matrix.flags.writeable
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 1.0
+        assert operators.shape == (17, 32)
+        # G(node, .) is linear on each cell, so the two Gauss weights of a
+        # cell add up to the exact integral of G over it
+        cells = greens_cell_integrals(nodes, grid)
+        assert np.abs(operators[:, 0::2] + operators[:, 1::2] - cells).max() <= 1e-15 * cells.max()
+        assert not operators.flags.writeable
+        with pytest.raises(ValueError):
+            operators[0, 0] = 1.0
 
     def test_operators_of_another_grid_rejected(self, rng):
         path = sample_increments(UniformGrid(16), 0.25, rng)
@@ -330,9 +334,8 @@ class TestHammersteinOperators:
             raise AssertionError("operators allocated past the budget")
 
         monkeypatch.setattr(greens, "_gauss_matrix", must_not_run)
-        monkeypatch.setattr(greens, "greens_cell_integrals", must_not_run)
         n = 8192
-        needed = 24 * (n + 1) * n
+        needed = 16 * (n + 1) * n
         assert needed > OPERATOR_BYTES_BUDGET
         with pytest.raises(ValueError) as excinfo:
             hammerstein_operators(UniformGrid(n))
@@ -344,7 +347,44 @@ class TestHammersteinOperators:
                               grid=UniformGrid(n))
 
     def test_memory_budget_admits_4096(self, monkeypatch):
-        # about 403 MB; stand-ins keep the test from allocating them
+        # about 269 MB; a stand-in keeps the test from allocating it
         monkeypatch.setattr(greens, "_gauss_matrix", lambda grid, nodes: np.zeros((1, 1)))
-        monkeypatch.setattr(greens, "greens_cell_integrals", lambda x, grid: np.zeros((1, 1)))
-        assert len(hammerstein_operators(UniformGrid(4096))) == 2
+        assert hammerstein_operators(UniformGrid(4096)).shape == (1, 1)
+
+
+class TestHammersteinNoiseTerm:
+    """With f = 0 and g = 0 the mild solution is the noise term K noise,
+    which the solver applies through its Gauss weights; the oracle
+    integrates G exactly over the cells of the path's grid."""
+
+    @staticmethod
+    def _noise_term(path, grid=None):
+        solution = solve_hammerstein(ProblemSpec.from_labels(0.25, "zero", "zero"), path,
+                                     grid=grid)
+        assert solution.iterations == 1
+        return solution.values
+
+    @pytest.mark.parametrize("n", [2, 16, 1024])
+    def test_matches_exact_convolution(self, n):
+        path = sample_increments(UniformGrid(n), 0.25, np.random.default_rng(n))
+        exact = stochastic_convolution(path).values
+        got = self._noise_term(path)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("n", [4, 16, 1024])
+    def test_coarse_path_matches_exact_convolution(self, n):
+        grid = UniformGrid(n)
+        path = sample_increments(UniformGrid(n // 4), 0.25, np.random.default_rng(n))
+        exact = stochastic_convolution(path, points=grid.nodes())
+        got = self._noise_term(path, grid)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("noise_n", [6, 32])
+    def test_non_dividing_noise_grid_rejected_by_both_solvers(self, noise_n):
+        path = sample_increments(UniformGrid(noise_n), 0.25, np.random.default_rng(noise_n))
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        grid = UniformGrid(16)
+        with pytest.raises(GridMismatchError, match=f"{noise_n} cells"):
+            solve_hammerstein(problem, path, grid=grid)
+        with pytest.raises(GridMismatchError, match=f"{noise_n} cells"):
+            solve_nonlinear_fem(problem, path, grid=grid)

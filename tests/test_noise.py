@@ -23,7 +23,6 @@ from fracbvp import (
     fbm_covariance,
     increment_covariance_matrix,
     ito_isometry,
-    ito_isometry_via_covariance,
     plinear_self_isometry,
     sample_increments,
     singular_kernel_pair_sum,
@@ -33,7 +32,8 @@ from fracbvp import (
 from fracbvp import noise as noise_module
 from fracbvp.errors import GridMismatchError
 
-from oracles import plinear_second_moment_oracle, step_second_moment_oracle
+from oracles import (ito_isometry_via_covariance, plinear_second_moment_oracle,
+                     step_second_moment_oracle)
 
 HURSTS = [0.1, 0.25, 0.4, 0.5]
 

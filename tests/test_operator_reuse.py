@@ -47,8 +47,8 @@ def test_greens_study_builds_operators_once_per_grid(tracing):
     grids = config.level_ns() + [config.reference_n]
     tracer = _traced(tracing, lambda: run_convergence_study(config))
     assert tracer.counts[(1, "greens.solves")] == config.samples * len(grids)
-    assert tracer.counts[(1, "greens.operator_bytes")] == sum(24 * (n + 1) * n for n in grids)
-    assert _span_count(tracer, "greens.cell_integrals") == len(grids)
+    assert tracer.counts[(1, "greens.operator_bytes")] == sum(16 * (n + 1) * n for n in grids)
+    assert _span_count(tracer, "greens.cell_integrals") == 0
     assert _span_count(tracer, "greens.kernel") == len(grids)
 
 
@@ -57,10 +57,12 @@ def test_h1_study_and_solver_agreement_build_once_per_grid(tracing):
                          samples=3, seed=2, solver="greens")
     tracer = _traced(tracing, lambda: run_h1_blowup_study(config))
     assert tracer.counts[(1, "greens.solves")] == config.samples * config.levels
-    assert _span_count(tracer, "greens.cell_integrals") == config.levels
+    assert _span_count(tracer, "greens.cell_integrals") == 0
+    assert _span_count(tracer, "greens.kernel") == config.levels
 
     level_ns = (4, 8, 16)
     tracer = _traced(tracing, lambda: verify_solver_agreement(0.25, level_ns=level_ns,
                                                               samples=3, seed=2))
     assert tracer.counts[(1, "greens.solves")] == 3 * len(level_ns)
-    assert _span_count(tracer, "greens.cell_integrals") == len(level_ns)
+    assert _span_count(tracer, "greens.cell_integrals") == 0
+    assert _span_count(tracer, "greens.kernel") == len(level_ns)
