@@ -37,7 +37,6 @@ from .greens import (
     convolution_error_second_moment,
     greens_cell_integrals,
     greens_function,
-    hammerstein_operators,
     solve_hammerstein,
 )
 from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
@@ -51,10 +50,8 @@ from .noise import (
     increment_covariance_matrix,
     ito_isometry,
     plinear_self_isometry,
-    sample_increments,
     singular_kernel_pair_sum,
     singular_kernel_pair_sum_bound,
-    step_noise,
 )
 from .problem import (
     FORCINGS,

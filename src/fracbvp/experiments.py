@@ -21,8 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from .fem import ritz_projection, solve_nonlinear_fem
-from .greens import (convolution_error_second_moment, hammerstein_operators,
-                     solve_hammerstein)
+from .greens import convolution_error_second_moment, solve_hammerstein
 from .grids import UniformGrid, discrete_h1_error, discrete_l2_error
 from .noise import (
     HurstIndex,
@@ -165,24 +164,9 @@ def _coupled_paths(ref_path: IncrementPath, level_ns) -> dict:
     return paths
 
 
-def _grid_operators(ns) -> dict:
-    """{n: hammerstein_operators} for every grid a study solves on.
-
-    Built once per study call and shared, read-only, by all its samples and
-    threads; they are freed when the study returns.
-    """
-    return {n: hammerstein_operators(UniformGrid(n)) for n in sorted(set(ns))}
-
-
-def _solve_one(solver: str, problem: ProblemSpec, path: IncrementPath, config: StudyConfig,
-               operators: dict):
-    if solver == "fem":
-        solution = solve_nonlinear_fem(problem, path, tol=config.tol,
-                                       max_iters=config.max_iters)
-    else:
-        solution = solve_hammerstein(problem, path, tol=config.tol, max_iters=config.max_iters,
-                                     operators=operators[path.grid.n])
-    return solution.grid_function
+def _solve_one(solver: str, problem: ProblemSpec, path: IncrementPath, config: StudyConfig):
+    solve = solve_nonlinear_fem if solver == "fem" else solve_hammerstein
+    return solve(problem, path, tol=config.tol, max_iters=config.max_iters).grid_function
 
 
 def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: str,
@@ -246,15 +230,12 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     problem = config.problem()
     solvers = ["fem", "greens"] if config.solver == "both" else [config.solver]
     level_ns = config.level_ns()
-    operators = (_grid_operators(level_ns + [config.reference_n])
-                 if "greens" in solvers else {})
 
     def squared_errors(ref_path: IncrementPath, paths: dict) -> list:
         out = []
         for solver in solvers:
-            reference = _solve_one(solver, problem, ref_path, config, operators)
-            solutions = [_solve_one(solver, problem, paths[n], config, operators)
-                         for n in level_ns]
+            reference = _solve_one(solver, problem, ref_path, config)
+            solutions = [_solve_one(solver, problem, paths[n], config) for n in level_ns]
             out.append([discrete_l2_error(u, reference) ** 2 for u in solutions])
         return out
 
@@ -279,10 +260,9 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
         raise ValueError("the H1 study runs one solver; choose fem or greens")
     problem = config.problem()
     level_ns = config.level_ns()
-    operators = _grid_operators(level_ns) if config.solver == "greens" else {}
 
     def h1_squared(fine_path: IncrementPath, paths: dict) -> list:
-        return [_solve_one(config.solver, problem, paths[n], config, operators).h1_norm() ** 2
+        return [_solve_one(config.solver, problem, paths[n], config).h1_norm() ** 2
                 for n in level_ns]
 
     rows = _coupled_samples(h1_squared, max(level_ns), level_ns, config.hurst,
@@ -498,13 +478,12 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
     """
     hurst = _as_hurst(hurst)
     problem = ProblemSpec.from_labels(hurst, reaction, forcing)
-    operators = _grid_operators(level_ns)
 
     def squared_gaps(fine_path: IncrementPath, paths: dict) -> list:
         out = []
         for n in level_ns:
             fem = solve_nonlinear_fem(problem, paths[n], tol=tol)
-            mild = solve_hammerstein(problem, paths[n], tol=tol, operators=operators[n])
+            mild = solve_hammerstein(problem, paths[n], tol=tol)
             out.append(discrete_l2_error(fem.grid_function, mild.grid_function) ** 2)
         return out
 

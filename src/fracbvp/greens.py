@@ -12,10 +12,9 @@ interpolant, the reaction f(., u) of a nodal u, and the piecewise constant
 noise alike.  The nonlinear equation is solved by a damped fixed-point
 iteration whose step size follows from the coercivity of K.
 
-The one dense nodal operator of a grid, the (n+1, 2n) matrix of Gauss
-weights, depends on the grid only; `hammerstein_operators` builds it
-read-only, so a study builds it once per grid and shares it across samples
-and threads.
+G is semiseparable, (K phi)(x) = (1 - x) int_0^x y phi + x int_x^1 (1 - y) phi,
+so the solver applies K at the nodes with two running sums over the cells:
+O(n) time and memory per application, and no matrix.
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ from .noise import IncrementPath, increments_on, plinear_self_isometry
 from .problem import ProblemSpec, damped_fixed_point
 
 __all__ = [
-    "OPERATOR_BYTES_BUDGET",
     "MildSolution",
     "convolution_error_second_moment",
     "greens_cell_integrals",
     "greens_function",
-    "hammerstein_operators",
     "solve_hammerstein",
 ]
 
@@ -76,38 +73,30 @@ def greens_cell_integrals(x, grid: UniformGrid) -> np.ndarray:
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _gauss_matrix(grid: UniformGrid, points: np.ndarray) -> np.ndarray:
-    """Weights mapping Gauss-point values of phi to (K phi)(points).
+def _nodal_apply(grid: UniformGrid):
+    """The map from Gauss-point values of phi to (K phi) at the nodes, in O(n).
 
-    Exact whenever phi is polynomial of degree <= 1 per cell and every
-    evaluation point is a grid node (G(node, .) is linear on each cell, so
-    the product is a per-cell quadratic and two-point Gauss integrates it
-    exactly).
+    G(x, y) is y (1 - x) for y < x and x (1 - y) for y > x, so
+    (K phi)(x_j) = (1 - x_j) below_j + x_j above_j, where below_j sums the
+    y-weighted Gauss contributions of the cells left of node j and above_j
+    the (1 - y)-weighted ones of the cells right of it; each cell's two
+    contributions are added before they enter a running sum.  The result is
+    the two-point Gauss rule applied to G(x_j, .) phi, exact whenever phi is
+    linear per cell, since G(x_j, .) is linear on every cell.
     """
-    return 0.5 * grid.h * greens_function(points[:, None], grid.gauss_points()[None, :])
+    nodes = grid.nodes()
+    gauss = grid.gauss_points()
+    weight_left = 0.5 * grid.h * gauss
+    weight_right = 0.5 * grid.h * (1.0 - gauss)
 
+    def apply(phi: np.ndarray) -> np.ndarray:
+        left = weight_left * phi
+        right = weight_right * phi
+        below = np.concatenate(([0.0], np.cumsum(left[0::2] + left[1::2])))
+        above = np.concatenate((np.cumsum((right[0::2] + right[1::2])[::-1])[::-1], [0.0]))
+        return (1.0 - nodes) * below + nodes * above
 
-# Largest size of the dense operator of one grid, 16 (n+1) n bytes: n = 4096
-# needs about 269 MB, n = 8192 is the first grid refused.  Building it peaks
-# near twice the matrix, for the temporaries of greens_function.
-OPERATOR_BYTES_BUDGET = 1 << 30
-
-
-def hammerstein_operators(grid: UniformGrid) -> np.ndarray:
-    """The read-only (n+1, 2n) Gauss-weight matrix of `grid`.
-
-    Maps the values of phi at the per-cell Gauss points to (K phi) at the
-    nodes; raises ValueError, before allocating anything, when the matrix
-    would exceed OPERATOR_BYTES_BUDGET.
-    """
-    needed = 16 * (grid.n + 1) * grid.n
-    if needed > OPERATOR_BYTES_BUDGET:
-        raise ValueError(
-            f"the Hammerstein operator for n={grid.n} needs {needed} bytes, over "
-            f"the budget of {OPERATOR_BYTES_BUDGET} bytes (OPERATOR_BYTES_BUDGET)")
-    weights = _gauss_matrix(grid, grid.nodes())
-    weights.flags.writeable = False
-    return weights
+    return apply
 
 
 def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
@@ -155,14 +144,14 @@ class MildSolution:
 
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
-                      max_iters: int = 500,
-                      operators: np.ndarray = None) -> MildSolution:
+                      max_iters: int = 500) -> MildSolution:
     """Solve u + K f(., u) = K g + K noise by damped fixed-point iteration.
 
     The step size theta = min(1, 2/(2 + L)) makes the iteration a
     contraction whenever the reaction's constant L stays below the
     coercivity constant 2 of K.  For f = 0 the first iterate is already
-    exact and the loop exits immediately.
+    exact and the loop exits immediately.  K is applied in O(n) per
+    iteration (see _nodal_apply), so memory stays linear in the grid size.
 
     Args:
         problem: Hurst index, reaction, forcing.
@@ -171,7 +160,6 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         grid: solver grid; defaults to the path's grid.
         tol: discrete L2 residual tolerance.
         max_iters: iteration cap; NonConvergenceError beyond it.
-        operators: hammerstein_operators(grid), prebuilt; None builds it.
 
     Returns:
         MildSolution with nodal values, final residual, iteration count.
@@ -180,20 +168,16 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
-    if operators is None:
-        operators = hammerstein_operators(grid)
-    elif operators.shape != (grid.n + 1, 2 * grid.n):
-        raise ValueError(f"operators of shape {operators.shape} do not "
-                         f"belong to a grid with {grid.n} cells")
+    apply_k = _nodal_apply(grid)
     gauss = grid.gauss_points()
     density = problem.forcing(gauss)
     if path is not None:
         # the noise density is constant on each cell, so both Gauss points see it
         density = density + np.repeat(increments_on(path, grid) / grid.h, 2)
-    rhs = operators @ density
+    rhs = apply_k(density)
 
     def defect(u: np.ndarray) -> np.ndarray:
-        return u + operators @ problem.reaction(gauss, gauss_values(u)) - rhs
+        return u + apply_k(problem.reaction(gauss, gauss_values(u))) - rhs
 
     # u + theta * (-d) rounds exactly like u - theta * d
     u, residual, iterations = damped_fixed_point(

@@ -90,11 +90,6 @@ class GridFunction:
             )
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_callable(cls, grid: UniformGrid, fn, kind: str = "nodal") -> "GridFunction":
-        points = grid.nodes() if kind == "nodal" else grid.midpoints()
-        return cls(grid, np.asarray(fn(points), dtype=float), kind)
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0) or np.any(x > 1.0):

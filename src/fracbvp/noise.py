@@ -51,10 +51,8 @@ __all__ = [
     "increments_on",
     "ito_isometry",
     "plinear_self_isometry",
-    "sample_increments",
     "singular_kernel_pair_sum",
     "singular_kernel_pair_sum_bound",
-    "step_noise",
 ]
 
 
@@ -163,10 +161,6 @@ class IncrementPath:
             )
         object.__setattr__(self, "increments", inc)
 
-    def cumulative(self) -> np.ndarray:
-        """Brownian path values W(x_i) at the n+1 nodes (W(0) = 0)."""
-        return np.concatenate([[0.0], np.cumsum(self.increments)])
-
 
 class IncrementSampler:
     """Exact sampler for fBm increments on a fixed grid.
@@ -228,12 +222,6 @@ class IncrementSampler:
         return self._transform(raw)
 
 
-def sample_increments(grid: UniformGrid, hurst, rng: np.random.Generator,
-                      method: str = "cholesky") -> IncrementPath:
-    """One-shot draw of an increment path (factorization cached per (n, H))."""
-    return IncrementSampler(grid, hurst, method).sample(rng)
-
-
 def aggregate_increments(path: IncrementPath, factor: int) -> IncrementPath:
     """Sum fine increments in groups of `factor` onto the coarser grid.
 
@@ -268,15 +256,6 @@ def increments_on(path: IncrementPath, grid: UniformGrid) -> np.ndarray:
             f"with {grid.n} cells")
     factor = grid.n // path.grid.n
     return np.repeat(path.increments / factor, factor)
-
-
-def step_noise(path: IncrementPath) -> GridFunction:
-    """Piecewise constant noise density DW_i / h on the path's grid.
-
-    This is the discretized noise entering both solvers; its squared L2 norm
-    has expectation h^{2H-2}.
-    """
-    return GridFunction(path.grid, path.increments / path.grid.h, kind="cell")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,48 @@
-"""Independent slow oracles used by several test modules.
+"""Independent slow oracles and small helpers used by several test modules.
 
 These deliberately avoid the closed forms under test: second moments are
 computed through the covariance function of the driving motion (integration
 by parts against R), with adaptive quadrature for the smooth pieces, and
 the Green's operator of a step density through exact cell integrals of G
-instead of the solver's Gauss weights.
+instead of the solver's Gauss weights.  The dense Gauss-weight matrix is the
+oracle for the solver's O(n) application of K.
 """
 
 import numpy as np
 from scipy import integrate
 
-from fracbvp import GridFunction, fbm_covariance, greens_cell_integrals, greens_function, step_noise
+from fracbvp import (GridFunction, IncrementSampler, fbm_covariance, greens_cell_integrals,
+                     greens_function)
+
+
+def sample_increments(grid, hurst, rng, method="cholesky"):
+    """One-shot draw of an increment path."""
+    return IncrementSampler(grid, hurst, method).sample(rng)
+
+
+def step_noise(path):
+    """Piecewise constant noise density DW_i / h on the path's grid."""
+    return GridFunction(path.grid, path.increments / path.grid.h, kind="cell")
+
+
+def cumulative(path):
+    """Brownian path values W(x_i) at the n+1 nodes (W(0) = 0)."""
+    return np.concatenate([[0.0], np.cumsum(path.increments)])
+
+
+def from_callable(grid, fn, kind="nodal"):
+    """Grid function sampling fn at the nodes (nodal) or midpoints (cell)."""
+    points = grid.nodes() if kind == "nodal" else grid.midpoints()
+    return GridFunction(grid, np.asarray(fn(points), dtype=float), kind)
+
+
+def gauss_weight_matrix(grid, points=None):
+    """Dense (len(points), 2n) weights mapping Gauss-point values of phi to
+    (K phi)(points); points default to the nodes.  Exact whenever phi is
+    linear per cell and every point is a node, since G(node, .) is linear on
+    each cell and two-point Gauss integrates the per-cell quadratic exactly."""
+    pts = grid.nodes() if points is None else np.asarray(points, dtype=float)
+    return 0.5 * grid.h * greens_function(pts[:, None], grid.gauss_points()[None, :])
 
 
 def fbm_cov(x, y, H):
@@ -103,7 +135,7 @@ def apply_greens_operator(phi, grid, points=None):
         values = phi(grid.gauss_points())
     else:
         values = np.asarray(phi(grid.gauss_points()), dtype=float)
-    return 0.5 * grid.h * greens_function(pts[:, None], grid.gauss_points()[None, :]) @ values
+    return gauss_weight_matrix(grid, pts) @ values
 
 
 def stochastic_convolution(path, points=None):

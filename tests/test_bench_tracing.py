@@ -44,11 +44,12 @@ def test_tiny_both_solver_study_is_fully_traced(tracing):
 
     count = lambda name, op=1: tracer.counts[(op, name)]
     assert json.dumps(traced, sort_keys=True) == json.dumps(untraced, sort_keys=True)
-    # a both-solver study passes through every wrapped function but the cell
-    # integrals, which only the closed-form convolution moments use
+    # a both-solver study passes through every wrapped function but the
+    # kernel and its cell integrals, which only the closed-form convolution
+    # moments use
     spans = {name for name, start, end, parent, op in tracer.spans if op == 1}
-    assert spans == ({target[2] for target in tracing.TARGETS} - {"greens.cell_integrals"}
-                     | {tracing.ROOT_SPAN})
+    assert spans == ({target[2] for target in tracing.TARGETS}
+                     - {"greens.cell_integrals", "greens.kernel"} | {tracing.ROOT_SPAN})
     assert count("noise.draws") == samples
     assert count("fem.solves") == count("greens.solves") == samples * (levels + 1)
     assert count("grids.l2_error_calls") == 2 * samples * levels

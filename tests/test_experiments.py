@@ -136,8 +136,8 @@ class TestConvergenceStudy:
         assert a == b
 
     def test_shared_greens_operators_invisible_across_threads(self):
-        # the threads share one read-only set of operators per grid; more
-        # threads than cores and frequent switches give interleavings a chance
+        # the threads share the problem and the sampler; more threads than
+        # cores and frequent switches give interleavings a chance
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,
                              ref_extra=1, samples=8, seed=4, solver="greens")
         serial = run_convergence_study(config, threads=1)

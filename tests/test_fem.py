@@ -14,13 +14,14 @@ from fracbvp import (
     assemble_load,
     assemble_stiffness,
     ritz_projection,
-    sample_increments,
     solve_hammerstein,
     solve_linear_fem,
     solve_nonlinear_fem,
 )
 from fracbvp.errors import GridMismatchError, NonConvergenceError
 from fracbvp.fem import Tridiagonal
+
+from oracles import from_callable, sample_increments
 
 
 class TestTridiagonal:
@@ -268,13 +269,13 @@ class TestRitzProjection:
         # 1d identity: for w vanishing at both ends, the Ritz projection onto
         # a nested coarser space keeps the shared nodal values
         fine, coarse = UniformGrid(32), UniformGrid(8)
-        w = GridFunction.from_callable(fine, lambda x: np.sin(2.5 * x) * x * (1 - x))
+        w = from_callable(fine, lambda x: np.sin(2.5 * x) * x * (1 - x))
         proj = ritz_projection(w, coarse)
         assert np.allclose(proj.values, w(coarse.nodes()), atol=1e-10)
 
     def test_projection_onto_same_grid_is_identity(self):
         grid = UniformGrid(16)
-        w = GridFunction.from_callable(grid, lambda x: x * (1 - x) * np.exp(x))
+        w = from_callable(grid, lambda x: x * (1 - x) * np.exp(x))
         proj = ritz_projection(w, grid)
         assert np.allclose(proj.values, w.values, atol=1e-10)
 

@@ -17,20 +17,18 @@ from fracbvp import (
     estimate_rate,
     greens_cell_integrals,
     greens_function,
-    hammerstein_operators,
     plinear_self_isometry,
     ito_isometry,
-    sample_increments,
     solve_hammerstein,
     solve_nonlinear_fem,
-    step_noise,
 )
 from fracbvp import greens
 from fracbvp.errors import GridMismatchError, NonConvergenceError
-from fracbvp.greens import OPERATOR_BYTES_BUDGET
 from fracbvp.noise import StepFunction
 
-from oracles import apply_greens_operator, plinear_second_moment_oracle, stochastic_convolution
+from oracles import (apply_greens_operator, from_callable, gauss_weight_matrix,
+                     plinear_second_moment_oracle, sample_increments, step_noise,
+                     stochastic_convolution)
 
 
 class TestGreensFunction:
@@ -92,7 +90,7 @@ class TestApplyOperator:
         # product of two piecewise linears is quadratic per cell: two-point
         # Gauss is exact, so K phi at the nodes matches fine quadrature
         grid = UniformGrid(6)
-        phi = GridFunction.from_callable(grid, lambda x: x * (1 - x))
+        phi = from_callable(grid, lambda x: x * (1 - x))
         got = apply_greens_operator(phi, grid)
         for j, x in enumerate(grid.nodes()):
             val, _ = integrate.quad(lambda y: greens_function(x, y) * float(phi(y)),
@@ -277,79 +275,58 @@ class TestHammersteinSolver:
 
 
 class TestHammersteinOperators:
-    @pytest.mark.parametrize("n", [2, 16, 1024])
-    def test_prebuilt_operators_give_identical_solutions(self, n):
+    """The solver applies K at the nodes with running sums over the cells;
+    the dense Gauss-weight matrix of the oracles is the reference."""
+
+    @staticmethod
+    def _dense_apply(grid, phi, rows=512):
+        # the oracle matrix a block of nodes at a time, to bound its memory
+        nodes = grid.nodes()
+        return np.concatenate([gauss_weight_matrix(grid, nodes[i:i + rows]) @ phi
+                               for i in range(0, grid.n + 1, rows)])
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 1024, 4096])
+    def test_apply_matches_dense_oracle(self, n):
         grid = UniformGrid(n)
-        path = sample_increments(grid, 0.25, np.random.default_rng(n))
-        problem = ProblemSpec.from_labels(0.25, "sin", "one")
-        operators = hammerstein_operators(grid)
-        built = solve_hammerstein(problem, path)
-        shared = solve_hammerstein(problem, path, operators=operators)
-        assert np.array_equal(built.values, shared.values)
-        assert (built.residual, built.iterations) == (shared.residual, shared.iterations)
-        # the deterministic problem and a second solve reuse them unchanged
-        assert np.array_equal(solve_hammerstein(problem, grid=grid).values,
-                              solve_hammerstein(problem, grid=grid, operators=operators).values)
-        again = solve_hammerstein(problem, path, operators=operators)
-        assert np.array_equal(again.values, shared.values)
+        phi = np.random.default_rng(n).normal(size=2 * n)
+        exact = self._dense_apply(grid, phi)
+        got = greens._nodal_apply(grid)(phi)
+        assert got.shape == (n + 1,)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    def test_apply_matches_cell_integrals_on_a_fine_grid(self):
+        # a per-cell constant phi integrates exactly against G(node, .)
+        grid = UniformGrid(16384)
+        cells = np.random.default_rng(7).normal(size=grid.n)
+        sampled = np.linspace(0, grid.n, 64).round().astype(int)
+        exact = greens_cell_integrals(grid.nodes()[sampled], grid) @ cells
+        got = greens._nodal_apply(grid)(np.repeat(cells, 2))[sampled]
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    def test_oracle_gauss_weights_sum_to_cell_integrals(self):
+        grid = UniformGrid(16)
+        weights = gauss_weight_matrix(grid)
+        assert weights.shape == (17, 32)
+        # G(node, .) is linear on each cell, so the two Gauss weights of a
+        # cell add up to the exact integral of G over it
+        cells = greens_cell_integrals(grid.nodes(), grid)
+        assert np.abs(weights[:, 0::2] + weights[:, 1::2] - cells).max() <= 1e-15 * cells.max()
 
     def test_no_solve_reaches_the_cell_integrals(self, rng, monkeypatch):
-        # the noise goes through the Gauss weights, so no solve builds a
-        # cell-integral matrix, whatever grid its noise lives on
+        # K is applied without a kernel matrix, so no solve evaluates G or
+        # its cell integrals, whatever grid its noise lives on
         grid = UniformGrid(16)
         path = sample_increments(grid, 0.25, rng)
         problem = ProblemSpec.from_labels(0.25, "sin", "one")
-        operators = hammerstein_operators(grid)
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError("solve_hammerstein built a cell-integral matrix")
+            raise AssertionError("solve_hammerstein built a kernel matrix")
 
         monkeypatch.setattr(greens, "greens_cell_integrals", must_not_run)
+        monkeypatch.setattr(greens, "greens_function", must_not_run)
         solve_hammerstein(problem, path)
-        solve_hammerstein(problem, path, operators=operators)
         solve_hammerstein(problem, aggregate_increments(path, 4), grid=grid)
         solve_hammerstein(problem, grid=grid)
-
-    def test_operators_are_read_only_and_exact(self):
-        grid = UniformGrid(16)
-        operators = hammerstein_operators(grid)
-        nodes = grid.nodes()
-        assert operators.shape == (17, 32)
-        # G(node, .) is linear on each cell, so the two Gauss weights of a
-        # cell add up to the exact integral of G over it
-        cells = greens_cell_integrals(nodes, grid)
-        assert np.abs(operators[:, 0::2] + operators[:, 1::2] - cells).max() <= 1e-15 * cells.max()
-        assert not operators.flags.writeable
-        with pytest.raises(ValueError):
-            operators[0, 0] = 1.0
-
-    def test_operators_of_another_grid_rejected(self, rng):
-        path = sample_increments(UniformGrid(16), 0.25, rng)
-        problem = ProblemSpec.from_labels(0.25, "sin", "one")
-        with pytest.raises(ValueError, match="16 cells"):
-            solve_hammerstein(problem, path, operators=hammerstein_operators(UniformGrid(8)))
-
-    def test_memory_budget_refuses_before_allocating(self, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("operators allocated past the budget")
-
-        monkeypatch.setattr(greens, "_gauss_matrix", must_not_run)
-        n = 8192
-        needed = 16 * (n + 1) * n
-        assert needed > OPERATOR_BYTES_BUDGET
-        with pytest.raises(ValueError) as excinfo:
-            hammerstein_operators(UniformGrid(n))
-        message = str(excinfo.value)
-        assert f"n={n}" in message and str(needed) in message
-        assert str(OPERATOR_BYTES_BUDGET) in message
-        with pytest.raises(ValueError):
-            solve_hammerstein(ProblemSpec.from_labels(0.25, "zero", "zero"),
-                              grid=UniformGrid(n))
-
-    def test_memory_budget_admits_4096(self, monkeypatch):
-        # about 269 MB; a stand-in keeps the test from allocating it
-        monkeypatch.setattr(greens, "_gauss_matrix", lambda grid, nodes: np.zeros((1, 1)))
-        assert hammerstein_operators(UniformGrid(4096)).shape == (1, 1)
 
 
 class TestHammersteinNoiseTerm:

@@ -11,6 +11,8 @@ from scipy import integrate
 from fracbvp import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
 from fracbvp.grids import gauss_values
 
+from oracles import from_callable
+
 
 class TestUniformGrid:
     def test_basic_geometry(self):
@@ -101,13 +103,13 @@ class TestGridFunction:
 class TestErrors:
     def test_l2_error_between_different_grids(self):
         # f = x on 2 cells, g = x on 3 cells: identical functions, zero error
-        f = GridFunction.from_callable(UniformGrid(2), lambda x: x)
-        g = GridFunction.from_callable(UniformGrid(3), lambda x: x)
+        f = from_callable(UniformGrid(2), lambda x: x)
+        g = from_callable(UniformGrid(3), lambda x: x)
         assert discrete_l2_error(f, g) == pytest.approx(0.0, abs=1e-15)
 
     def test_l2_error_nodal_vs_cell(self):
         # pw-linear x minus constant 1/2 on one cell: int (x - 1/2)^2 = 1/12
-        f = GridFunction.from_callable(UniformGrid(2), lambda x: x)
+        f = from_callable(UniformGrid(2), lambda x: x)
         g = GridFunction(UniformGrid(1), np.array([0.5]), kind="cell")
         assert discrete_l2_error(f, g) == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-15)
 

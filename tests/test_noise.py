@@ -24,16 +24,14 @@ from fracbvp import (
     increment_covariance_matrix,
     ito_isometry,
     plinear_self_isometry,
-    sample_increments,
     singular_kernel_pair_sum,
     singular_kernel_pair_sum_bound,
-    step_noise,
 )
 from fracbvp import noise as noise_module
 from fracbvp.errors import GridMismatchError
 
-from oracles import (ito_isometry_via_covariance, plinear_second_moment_oracle,
-                     step_second_moment_oracle)
+from oracles import (cumulative, ito_isometry_via_covariance, plinear_second_moment_oracle,
+                     sample_increments, step_noise, step_second_moment_oracle)
 
 HURSTS = [0.1, 0.25, 0.4, 0.5]
 
@@ -153,7 +151,7 @@ class TestAggregation:
         assert np.allclose(coarse.increments,
                            path.increments.reshape(8, 4).sum(axis=1))
         # same Brownian endpoint
-        assert coarse.cumulative()[-1] == pytest.approx(path.cumulative()[-1])
+        assert cumulative(coarse)[-1] == pytest.approx(cumulative(path)[-1])
 
     def test_rejects_non_divisor(self, rng):
         path = sample_increments(UniformGrid(10), 0.25, rng)
