@@ -17,9 +17,14 @@ class GridMismatchError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach the residual tolerance."""
+    """Fixed-point iteration did not reach the residual tolerance.
 
-    def __init__(self, message: str, residual: float, iterations: int):
+    row is the index, within the stack of rows solved together, of the row
+    that stalled; None once the error names its sample in other terms.
+    """
+
+    def __init__(self, message: str, residual: float, iterations: int, row=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.row = row

@@ -3,10 +3,12 @@
 Studies couple all discretization levels to one fine noise path per sample
 (coarse increments are exact sums of fine ones), estimate root-mean-square
 errors level by level, and fit algebraic rates by least squares in log-log
-coordinates.  Every study is reproducible: sample m always uses the
-generator seeded with [seed, m], and accumulation runs in sample order
-regardless of the thread count, so reports are byte-identical for any
---threads value.
+coordinates.  Consecutive samples are solved together, as the rows of a
+block: every solver step works on the whole block.  Every study is
+reproducible: sample m always uses the generator seeded with [seed, m],
+each row of a block is computed exactly as it would be alone, and
+accumulation runs in sample order, so reports are byte-identical for any
+--threads value and any block size.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
+from .errors import NonConvergenceError
 from .fem import ritz_projection, solve_nonlinear_fem
 from .greens import convolution_error_second_moment, solve_hammerstein
 from .grids import UniformGrid, discrete_h1_error, discrete_l2_error
@@ -147,7 +150,7 @@ def estimate_rate(hs, values) -> tuple:
 
 
 def _coupled_paths(ref_path: IncrementPath, level_ns) -> dict:
-    """Aggregate one fine path onto every level; cross-check the chaining.
+    """Aggregate one fine path, or a block of them, onto every level; cross-check the chaining.
 
     Aggregating the reference directly to level n must agree with first
     aggregating to 2n and then halving; both are finite sums of the same
@@ -164,9 +167,34 @@ def _coupled_paths(ref_path: IncrementPath, level_ns) -> dict:
     return paths
 
 
-def _solve_one(solver: str, problem: ProblemSpec, path: IncrementPath, config: StudyConfig):
+def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None, **options):
+    """solve_nonlinear_fem or solve_hammerstein; a stall names the solver and grid."""
     solve = solve_nonlinear_fem if solver == "fem" else solve_hammerstein
-    return solve(problem, path, tol=config.tol, max_iters=config.max_iters).grid_function
+    try:
+        return solve(problem, path, grid=grid, **options)
+    except NonConvergenceError as exc:
+        n = (grid or path.grid).n
+        raise NonConvergenceError(f"{solver} solver, level n={n}: {exc}",
+                                  exc.residual, exc.iterations, exc.row) from exc
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """values ** 2 as Python floats square them, through libm's pow.
+
+    numpy's array square multiplies x * x, which rounds differently in about
+    one value in a thousand.
+    """
+    return np.array([float(v) ** 2 for v in values])
+
+
+# A block's largest array, (rows, 2 n) float64 values on a grid with n cells,
+# stays within this many bytes.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_rows(fine_n: int) -> int:
+    """Samples solved together on a study whose paths are drawn with fine_n cells."""
+    return max(1, _BLOCK_BYTES // (16 * fine_n))
 
 
 def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: str,
@@ -174,22 +202,34 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
     """Per-sample statistics of coupled paths, stacked in sample order.
 
     Sample m draws one path on the grid with fine_n cells from its own
-    generator default_rng([seed, m]), aggregates it onto every level, and
-    contributes the row statistic(fine path, {n: level path}).  Rows are
-    collected in index order, so the result does not depend on threads.
+    generator default_rng([seed, m]).  Consecutive samples form blocks of
+    _block_rows(fine_n) rows; a block is aggregated onto every level and
+    contributes the rows statistic(fine block, {n: level block}), one per
+    sample.  Every row is computed as it would be alone and blocks are
+    collected in index order, so the result depends neither on threads nor
+    on the block size.  A stall raises NonConvergenceError naming the seed,
+    the sample, the level and the solver.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
+    rows = _block_rows(fine_n)
 
-    def worker(m: int):
-        fine_path = sampler.sample(np.random.default_rng([seed, m]))
-        return statistic(fine_path, _coupled_paths(fine_path, level_ns))
+    def worker(start: int) -> np.ndarray:
+        block = np.stack([sampler.sample(np.random.default_rng([seed, m])).increments
+                          for m in range(start, min(start + rows, samples))])
+        fine_path = IncrementPath(sampler.grid, block)
+        try:
+            return statistic(fine_path, _coupled_paths(fine_path, level_ns))
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(f"seed {seed}, sample m={start + exc.row}, {exc}",
+                                      exc.residual, exc.iterations) from exc
 
+    starts = range(0, samples, rows)
     if threads == 1:
-        return np.array([worker(m) for m in range(samples)])
+        return np.concatenate([worker(start) for start in starts])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(worker, range(samples))))
+        return np.concatenate(list(pool.map(worker, starts)))
 
 
 def _rms_levels(level_ns, squared_errors: np.ndarray) -> list:
@@ -230,14 +270,17 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     problem = config.problem()
     solvers = ["fem", "greens"] if config.solver == "both" else [config.solver]
     level_ns = config.level_ns()
+    options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def squared_errors(ref_path: IncrementPath, paths: dict) -> list:
+    def squared_errors(ref_path: IncrementPath, paths: dict) -> np.ndarray:
         out = []
         for solver in solvers:
-            reference = _solve_one(solver, problem, ref_path, config)
-            solutions = [_solve_one(solver, problem, paths[n], config) for n in level_ns]
-            out.append([discrete_l2_error(u, reference) ** 2 for u in solutions])
-        return out
+            reference = _solve(solver, problem, ref_path, **options).grid_function
+            solutions = [_solve(solver, problem, paths[n], **options).grid_function
+                         for n in level_ns]
+            out.append(np.stack([_squares(discrete_l2_error(u, reference))
+                                 for u in solutions], axis=-1))
+        return np.stack(out, axis=1)  # (rows, solvers, levels)
 
     rows = _coupled_samples(squared_errors, config.reference_n, level_ns, config.hurst,
                             config.sampler, config.samples, config.seed, threads)
@@ -260,10 +303,12 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
         raise ValueError("the H1 study runs one solver; choose fem or greens")
     problem = config.problem()
     level_ns = config.level_ns()
+    options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def h1_squared(fine_path: IncrementPath, paths: dict) -> list:
-        return [_solve_one(config.solver, problem, paths[n], config).h1_norm() ** 2
-                for n in level_ns]
+    def h1_squared(fine_path: IncrementPath, paths: dict) -> np.ndarray:
+        solutions = [_solve(config.solver, problem, paths[n], **options).grid_function
+                     for n in level_ns]
+        return np.stack([_squares(u.h1_norm()) for u in solutions], axis=-1)
 
     rows = _coupled_samples(h1_squared, max(level_ns), level_ns, config.hurst,
                             config.sampler, config.samples, config.seed, threads)
@@ -293,18 +338,17 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
         raise ValueError("the superconvergence study runs the FEM solver only")
     problem = config.problem()
     level_ns = config.level_ns()
+    options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def projection_gaps(fine_path: IncrementPath, paths: dict) -> list:
+    def projection_gaps(fine_path: IncrementPath, paths: dict) -> np.ndarray:
         out = []
         for n in level_ns:
             path = paths[n]
-            fem = solve_nonlinear_fem(problem, path, tol=config.tol,
-                                      max_iters=config.max_iters)
-            proxy = solve_nonlinear_fem(problem, path, grid=UniformGrid(2 * n),
-                                        tol=config.tol, max_iters=config.max_iters)
+            fem = _solve("fem", problem, path, **options)
+            proxy = _solve("fem", problem, path, grid=UniformGrid(2 * n), **options)
             projected = ritz_projection(proxy.grid_function, path.grid)
-            out.append(discrete_h1_error(projected, fem.grid_function) ** 2)
-        return out
+            out.append(_squares(discrete_h1_error(projected, fem.grid_function)))
+        return np.stack(out, axis=-1)
 
     rows = _coupled_samples(projection_gaps, max(level_ns), level_ns, config.hurst,
                             config.sampler, config.samples, config.seed, threads)
@@ -479,13 +523,13 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
     hurst = _as_hurst(hurst)
     problem = ProblemSpec.from_labels(hurst, reaction, forcing)
 
-    def squared_gaps(fine_path: IncrementPath, paths: dict) -> list:
+    def squared_gaps(fine_path: IncrementPath, paths: dict) -> np.ndarray:
         out = []
         for n in level_ns:
-            fem = solve_nonlinear_fem(problem, paths[n], tol=tol)
-            mild = solve_hammerstein(problem, paths[n], tol=tol)
-            out.append(discrete_l2_error(fem.grid_function, mild.grid_function) ** 2)
-        return out
+            fem = _solve("fem", problem, paths[n], tol=tol)
+            mild = _solve("greens", problem, paths[n], tol=tol)
+            out.append(_squares(discrete_l2_error(fem.grid_function, mild.grid_function)))
+        return np.stack(out, axis=-1)
 
     rows = _coupled_samples(squared_gaps, max(level_ns), level_ns, hurst, "cholesky",
                             samples, seed, threads)

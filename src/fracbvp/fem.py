@@ -7,7 +7,8 @@ cell width over each cell it touches, so (noise, phi_j) reduces to averaged
 increments.  Smooth loads use a two-point Gauss rule per cell (exact for the
 products of linears that arise).  The nonlinear term is handled by the same
 damped fixed-point iteration as the mild solver, preconditioned by the
-stiffness matrix.
+stiffness matrix.  A stack of noise paths, one per row, is solved row by
+row in one loop: every step is one multi-right-hand-side tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
-                    discrete_l2_error, gauss_values)
+                    discrete_l2_error, gauss_values, rowwise)
 from .noise import IncrementPath, increments_on
 from .problem import ProblemSpec, damped_fixed_point
 
@@ -48,7 +49,11 @@ def _require_finite(array: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Real tridiagonal system stored by bands (interior nodes only)."""
+    """Real tridiagonal system stored by bands (interior nodes only).
+
+    Vectors are the last axis: matvec and solve map a stack of rows row by
+    row.
+    """
 
     lower: np.ndarray
     diag: np.ndarray
@@ -56,28 +61,33 @@ class Tridiagonal:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
-        out[1:] += self.lower * v[:-1]
-        out[:-1] += self.upper * v[1:]
+        out[..., 1:] += self.lower * v[..., :-1]
+        out[..., :-1] += self.upper * v[..., 1:]
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """LAPACK gtsv, the routine scipy's solve_banded((1, 1), ...) calls,
         with its checks: ValueError on non-finite input or an illegal
         argument, LinAlgError on a singular matrix, and a 1x1 system solved
-        by division."""
+        by division.
+
+        A stack of right-hand sides (rows, m) is one gtsv call with the rows
+        as its columns; gtsv eliminates each column exactly as it would a
+        single right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[:1] != self.diag.shape:
+        if rhs.ndim > 2 or rhs.shape[-1:] != self.diag.shape:
             raise ValueError("shapes of the bands and the right-hand side are not compatible")
         for array in (self.lower, self.diag, self.upper, rhs):
             _require_finite(array)
         if len(self.diag) == 1:
             return rhs / self.diag[0]
-        _, _, _, x, info = _GTSV(self.lower, self.diag, self.upper, rhs)
+        # a C-contiguous stack of rows is an F-contiguous (m, rows) matrix
+        _, _, _, x, info = _GTSV(self.lower, self.diag, self.upper, rhs.T)
         if info > 0:
             raise LinAlgError("singular matrix")
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-        return x
+        return x.T
 
 
 def assemble_stiffness(grid: UniformGrid) -> Tridiagonal:
@@ -97,11 +107,11 @@ def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray) -> np.ndarra
     """Interior load vector (v, phi_j) from values at the per-cell Gauss points."""
     t_lo, t_hi = GAUSS_OFFSETS
     w = 0.5 * grid.h
-    lo, hi = values_at_gauss[0::2], values_at_gauss[1::2]
+    lo, hi = values_at_gauss[..., 0::2], values_at_gauss[..., 1::2]
     to_left = w * ((1.0 - t_lo) * lo + (1.0 - t_hi) * hi)
     to_right = w * (t_lo * lo + t_hi * hi)
     # interior node j collects from its right cell j and its left cell j-1
-    return to_left[1:] + to_right[:-1]
+    return to_left[..., 1:] + to_right[..., :-1]
 
 
 def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -> np.ndarray:
@@ -110,10 +120,11 @@ def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -
     Args:
         grid: FEM grid.
         forcing: vectorized callable or GridFunction, or None.
-        path: noise increments on the FEM grid or a coarser divisor, or None.
+        path: noise increments on the FEM grid or a coarser divisor, or None;
+            a stack of paths gives one load per row.
 
     Returns:
-        Array of length n-1.
+        Array of length n-1, or (rows, n-1) for a stack of paths.
     """
     load = np.zeros(grid.n - 1)
     if forcing is not None:
@@ -122,31 +133,54 @@ def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -
     if path is not None:
         # exact (noise, phi_j): averaged increments of the two touching cells
         inc = increments_on(path, grid)
-        load = load + 0.5 * (inc[:-1] + inc[1:])
+        load = load + 0.5 * (inc[..., :-1] + inc[..., 1:])
     return load
+
+
+def _with_boundary(interior: np.ndarray) -> np.ndarray:
+    """Nodal values from interior ones and zero boundary data, row by row."""
+    nodal = np.zeros(interior.shape[:-1] + (interior.shape[-1] + 2,))
+    nodal[..., 1:-1] = interior
+    return nodal
 
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Galerkin solution; values at interior nodes plus zero boundary data."""
+    """Galerkin solution; values at interior nodes plus zero boundary data.
+
+    For a stack of noise paths `interior` holds one solution per row;
+    row_residuals and row_iterations hold every row's final residual and
+    iteration count (one entry for a single solve).
+    """
 
     grid: UniformGrid
     interior: np.ndarray
-    residual: float
-    iterations: int
+    row_residuals: np.ndarray
+    row_iterations: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        """Final residual; the largest over the rows of a stack."""
+        return float(self.row_residuals.max())
+
+    @property
+    def iterations(self) -> int:
+        """Iteration count; the sum over the rows of a stack."""
+        return int(self.row_iterations.sum())
 
     @property
     def nodal_values(self) -> np.ndarray:
-        return np.concatenate([[0.0], self.interior, [0.0]])
+        return _with_boundary(self.interior)
 
     @property
     def grid_function(self) -> GridFunction:
         return GridFunction(self.grid, self.nodal_values, kind="nodal")
 
 
-def _residual_norm(grid: UniformGrid, defect: np.ndarray) -> float:
-    """Discrete L2 norm of the load-vector defect, scaled like a density."""
-    return math.sqrt(float(np.dot(defect, defect)) / grid.h)
+def _residual_norms(grid: UniformGrid, defect: np.ndarray) -> np.ndarray:
+    """Discrete L2 norm of each row's load-vector defect, scaled like a density."""
+    h = grid.h
+    return rowwise(np.atleast_2d(defect), lambda row: math.sqrt(float(np.dot(row, row)) / h))
 
 
 def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> FemSolution:
@@ -155,8 +189,8 @@ def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> FemSolution:
     interior = stiffness.solve(np.asarray(load, dtype=float))
     if not np.all(np.isfinite(interior)):
         raise FloatingPointError("banded solve produced non-finite values")
-    defect = load - stiffness.matvec(interior)
-    return FemSolution(grid, interior, _residual_norm(grid, defect), 0)
+    residuals = _residual_norms(grid, load - stiffness.matvec(interior))
+    return FemSolution(grid, interior, residuals, np.zeros(len(residuals), dtype=int))
 
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
@@ -168,11 +202,13 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
     each step solves the linear problem with the current reaction load and
     relaxes by the reaction's step_size theta = min(1, 2/(2 + L)).  For
     f = 0 the first step is the exact linear solve and the loop exits with
-    iterations = 1.
+    iterations = 1.  A stack of paths is solved row by row in one loop, each
+    row to exactly the result of its own solve.
 
     Args:
         problem: Hurst index, reaction, forcing.
-        path: noise increments; None solves the deterministic problem.
+        path: noise increments, or a stack of them; None solves the
+            deterministic problem.
         grid: FEM mesh; defaults to the path's grid, and may be any
             refinement of it (the noise stays constant on its own cells).
         tol: tolerance on the discrete residual norm.
@@ -184,18 +220,19 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
         grid = path.grid
     stiffness = assemble_stiffness(grid)
     load = assemble_load(grid, forcing=problem.forcing, path=path)
+    loads = np.atleast_2d(load)
     gauss = grid.gauss_points()
 
-    def defect(interior: np.ndarray) -> np.ndarray:
-        at_gauss = gauss_values(np.concatenate([[0.0], interior, [0.0]]))
+    def defect(interior: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        at_gauss = gauss_values(_with_boundary(interior))
         reaction_load = _gauss_assemble(grid, problem.reaction(gauss, at_gauss))
-        return load - stiffness.matvec(interior) - reaction_load
+        return loads[rows] - stiffness.matvec(interior) - reaction_load
 
-    u, residual, iterations = damped_fixed_point(
-        defect, stiffness.solve, np.zeros(grid.n - 1),
-        lambda d: _residual_norm(grid, d), problem.reaction.step_size,
+    u, residuals, iterations = damped_fixed_point(
+        defect, stiffness.solve, np.zeros_like(loads),
+        lambda d: _residual_norms(grid, d), problem.reaction.step_size,
         tol, max_iters, "FEM fixed-point iteration")
-    return FemSolution(grid, u, residual, iterations)
+    return FemSolution(grid, u.reshape(load.shape), residuals, iterations)
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:
@@ -207,10 +244,11 @@ def ritz_projection(w, grid: UniformGrid) -> GridFunction:
     as the defining computation.
 
     Args:
-        w: callable or GridFunction, absolutely continuous on [0, 1].
+        w: callable or GridFunction (or a stack of them), absolutely
+            continuous on [0, 1].
         grid: target FEM grid.
     """
     values = np.asarray(w(grid.nodes()), dtype=float)
-    rhs = (2.0 * values[1:-1] - values[:-2] - values[2:]) / grid.h
+    rhs = (2.0 * values[..., 1:-1] - values[..., :-2] - values[..., 2:]) / grid.h
     interior = assemble_stiffness(grid).solve(rhs)
-    return GridFunction(grid, np.concatenate([[0.0], interior, [0.0]]), kind="nodal")
+    return GridFunction(grid, _with_boundary(interior), kind="nodal")

@@ -14,7 +14,9 @@ iteration whose step size follows from the coercivity of K.
 
 G is semiseparable, (K phi)(x) = (1 - x) int_0^x y phi + x int_x^1 (1 - y) phi,
 so the solver applies K at the nodes with two running sums over the cells:
-O(n) time and memory per application, and no matrix.
+O(n) time and memory per application, and no matrix.  A stack of noise
+paths, one per row, is solved row by row in one loop, the running sums
+taken along the last axis.
 """
 
 from __future__ import annotations
@@ -82,19 +84,29 @@ def _nodal_apply(grid: UniformGrid):
     the (1 - y)-weighted ones of the cells right of it; each cell's two
     contributions are added before they enter a running sum.  The result is
     the two-point Gauss rule applied to G(x_j, .) phi, exact whenever phi is
-    linear per cell, since G(x_j, .) is linear on every cell.
+    linear per cell, since G(x_j, .) is linear on every cell.  A stack of
+    rows phi maps row by row.
     """
     nodes = grid.nodes()
     gauss = grid.gauss_points()
-    weight_left = 0.5 * grid.h * gauss
-    weight_right = 0.5 * grid.h * (1.0 - gauss)
+    # weights of each cell's first and second Gauss point
+    left = [0.5 * grid.h * gauss[k::2] for k in (0, 1)]
+    right = [0.5 * grid.h * (1.0 - gauss[k::2]) for k in (0, 1)]
 
     def apply(phi: np.ndarray) -> np.ndarray:
-        left = weight_left * phi
-        right = weight_right * phi
-        below = np.concatenate(([0.0], np.cumsum(left[0::2] + left[1::2])))
-        above = np.concatenate((np.cumsum((right[0::2] + right[1::2])[::-1])[::-1], [0.0]))
-        return (1.0 - nodes) * below + nodes * above
+        first, second = phi[..., 0::2], phi[..., 1::2]
+        below = np.zeros(phi.shape[:-1] + (grid.n + 1,))
+        above = np.zeros_like(below)
+        cells = left[0] * first
+        cells += left[1] * second
+        np.cumsum(cells, axis=-1, out=below[..., 1:])
+        np.multiply(right[0], first, out=cells)
+        cells += right[1] * second
+        np.cumsum(cells[..., ::-1], axis=-1, out=above[..., -2::-1])
+        below *= 1.0 - nodes
+        above *= nodes
+        below += above
+        return below
 
     return apply
 
@@ -130,12 +142,27 @@ def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
 
 @dataclass(frozen=True)
 class MildSolution:
-    """Fixed point of the discretized Hammerstein equation at the grid nodes."""
+    """Fixed point of the discretized Hammerstein equation at the grid nodes.
+
+    For a stack of noise paths `values` holds one solution per row;
+    row_residuals and row_iterations hold every row's final residual and
+    iteration count (one entry for a single solve).
+    """
 
     grid: UniformGrid
     values: np.ndarray
-    residual: float
-    iterations: int
+    row_residuals: np.ndarray
+    row_iterations: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        """Final residual; the largest over the rows of a stack."""
+        return float(self.row_residuals.max())
+
+    @property
+    def iterations(self) -> int:
+        """Iteration count; the sum over the rows of a stack."""
+        return int(self.row_iterations.sum())
 
     @property
     def grid_function(self) -> GridFunction:
@@ -152,11 +179,13 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     coercivity constant 2 of K.  For f = 0 the first iterate is already
     exact and the loop exits immediately.  K is applied in O(n) per
     iteration (see _nodal_apply), so memory stays linear in the grid size.
+    A stack of paths is solved row by row in one loop, each row to exactly
+    the result of its own solve.
 
     Args:
         problem: Hurst index, reaction, forcing.
-        path: noise increments on the solver grid or a coarser divisor;
-            None solves the deterministic problem.
+        path: noise increments on the solver grid or a coarser divisor, or
+            a stack of them; None solves the deterministic problem.
         grid: solver grid; defaults to the path's grid.
         tol: discrete L2 residual tolerance.
         max_iters: iteration cap; NonConvergenceError beyond it.
@@ -173,15 +202,17 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     density = problem.forcing(gauss)
     if path is not None:
         # the noise density is constant on each cell, so both Gauss points see it
-        density = density + np.repeat(increments_on(path, grid) / grid.h, 2)
+        density = density + np.repeat(increments_on(path, grid) / grid.h, 2, axis=-1)
     rhs = apply_k(density)
+    rhs_rows = np.atleast_2d(rhs)
+    del density  # (rows, 2n) values the loop does not need
 
-    def defect(u: np.ndarray) -> np.ndarray:
-        return u + apply_k(problem.reaction(gauss, gauss_values(u))) - rhs
+    def defect(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return u + apply_k(problem.reaction(gauss, gauss_values(u))) - rhs_rows[rows]
 
     # u + theta * (-d) rounds exactly like u - theta * d
-    u, residual, iterations = damped_fixed_point(
-        defect, np.negative, np.zeros(grid.n + 1),
+    u, residuals, iterations = damped_fixed_point(
+        defect, np.negative, np.zeros_like(rhs_rows),
         lambda d: GridFunction(grid, d, kind="nodal").l2_norm(),
         problem.reaction.step_size, tol, max_iters, "fixed-point iteration")
-    return MildSolution(grid, u, residual, iterations)
+    return MildSolution(grid, u.reshape(rhs.shape), residuals, iterations)

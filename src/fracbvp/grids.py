@@ -20,6 +20,7 @@ __all__ = [
     "discrete_l2_error",
     "discrete_h1_error",
     "gauss_values",
+    "rowwise",
 ]
 
 # local coordinates of the two-point Gauss rule on each cell
@@ -64,14 +65,28 @@ class UniformGrid:
         return finer.n % self.n == 0
 
 
+def rowwise(values: np.ndarray, fn):
+    """fn of one function's values, or fn of each row of a stack, stacked.
+
+    Reductions go through the 1-D call row by row, so every row of a stack
+    rounds exactly as it would alone: numpy's axis reductions need not add
+    in the order of the 1-D call.
+    """
+    if values.ndim == 1:
+        return fn(values)
+    return np.array([fn(row) for row in values])
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Piecewise polynomial function attached to a uniform grid.
+    """Piecewise polynomial function attached to a uniform grid, or a stack of them.
 
     kind "nodal": piecewise linear, `values` holds the n+1 nodal values.
     kind "cell": piecewise constant, `values` holds the n cell values, with
     the convention that cell i covers (x_i, x_{i+1}] and the value at x=0 is
     the first cell's.
+    A 2-D `values` holds one function per row; evaluations and norms then
+    return one row, or one number, per function.
     """
 
     grid: UniformGrid
@@ -83,10 +98,10 @@ class GridFunction:
         expected = self.grid.n + 1 if self.kind == "nodal" else self.grid.n
         if self.kind not in ("nodal", "cell"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if values.shape != (expected,):
+        if values.ndim not in (1, 2) or values.shape[-1] != expected:
             raise ValueError(
                 f"{self.kind} function on {self.grid.n} cells needs "
-                f"{expected} values, got shape {values.shape}"
+                f"{expected} values per row, got shape {values.shape}"
             )
         object.__setattr__(self, "values", values)
 
@@ -95,37 +110,44 @@ class GridFunction:
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError("evaluation points must lie in [0, 1]")
         if self.kind == "nodal":
-            return np.interp(x, self.grid.nodes(), self.values)
+            nodes = self.grid.nodes()
+            return rowwise(self.values, lambda row: np.interp(x, nodes, row))
         idx = np.clip(np.ceil(x * self.grid.n).astype(int) - 1, 0, self.grid.n - 1)
-        return self.values[idx]
+        return self.values[..., idx]
 
-    def l2_norm(self) -> float:
-        """Exact L2 norm of the piecewise polynomial."""
+    def l2_norm(self):
+        """Exact L2 norm of the piecewise polynomial; one per row of a stack."""
         h, v = self.grid.h, self.values
         if self.kind == "cell":
-            return math.sqrt(h * float(np.dot(v, v)))
+            return rowwise(v, lambda row: math.sqrt(h * float(np.dot(row, row))))
         # int of a linear segment squared: h/3 (a^2 + a b + b^2)
-        a, b = v[:-1], v[1:]
-        return math.sqrt(h / 3.0 * float(np.sum(a * a + a * b + b * b)))
+        a, b = v[..., :-1], v[..., 1:]
+        return rowwise(a * a + a * b + b * b,
+                       lambda row: math.sqrt(h / 3.0 * float(np.sum(row))))
 
-    def h1_seminorm(self) -> float:
+    def h1_seminorm(self):
         """Exact L2 norm of the derivative; defined for the nodal kind only."""
         if self.kind != "nodal":
             raise ValueError("piecewise constant functions have no H1 seminorm")
-        dv = np.diff(self.values)
-        return math.sqrt(float(np.dot(dv, dv)) / self.grid.h)
+        h, dv = self.grid.h, np.diff(self.values, axis=-1)
+        return rowwise(dv, lambda row: math.sqrt(float(np.dot(row, row)) / h))
 
-    def h1_norm(self) -> float:
-        return math.sqrt(self.l2_norm() ** 2 + self.h1_seminorm() ** 2)
+    def h1_norm(self):
+        # columns (L2 norm, H1 seminorm), squared as Python floats square
+        norms = np.stack([self.l2_norm(), self.h1_seminorm()], axis=-1)
+        return rowwise(norms, lambda pair: math.sqrt(float(pair[0]) ** 2 + float(pair[1]) ** 2))
 
 
 def gauss_values(nodal: np.ndarray) -> np.ndarray:
-    """Piecewise linear interpolant of n+1 nodal values at the 2n Gauss points."""
+    """Piecewise linear interpolant of n+1 nodal values at the 2n Gauss points.
+
+    Works along the last axis, so a stack of nodal rows maps row by row.
+    """
     t_lo, t_hi = GAUSS_OFFSETS
-    left, right = nodal[:-1], nodal[1:]
-    out = np.empty(2 * len(left))
-    out[0::2] = (1.0 - t_lo) * left + t_lo * right
-    out[1::2] = (1.0 - t_hi) * left + t_hi * right
+    left, right = nodal[..., :-1], nodal[..., 1:]
+    out = np.empty(left.shape[:-1] + (2 * left.shape[-1],))
+    out[..., 0::2] = (1.0 - t_lo) * left + t_lo * right
+    out[..., 1::2] = (1.0 - t_hi) * left + t_hi * right
     return out
 
 
@@ -143,39 +165,44 @@ def _segment_samples(f: GridFunction, fine: UniformGrid):
         )
     if f.kind == "cell":
         parent = np.arange(fine.n) // (fine.n // f.grid.n)
-        vals = f.values[parent]
+        vals = f.values[..., parent]
         return vals, vals, vals
     nodes = fine.nodes()
-    left = np.interp(nodes[:-1], f.grid.nodes(), f.values)
-    right = np.interp(nodes[1:], f.grid.nodes(), f.values)
-    mid = np.interp(fine.midpoints(), f.grid.nodes(), f.values)
-    return left, mid, right
+    # evaluated one at a time, so a stack holds one set of samples at once
+    return (f(x) for x in (nodes[:-1], fine.midpoints(), nodes[1:]))
 
 
-def discrete_l2_error(f: GridFunction, g: GridFunction) -> float:
-    """Exact L2 distance between two grid functions.
+def discrete_l2_error(f: GridFunction, g: GridFunction):
+    """Exact L2 distance between two grid functions, row by row for stacks.
 
     The grids need not match; the difference is integrated on the least
     common refinement, where it is polynomial of degree <= 1 per cell and
-    cellwise Simpson is exact.
+    cellwise Simpson is exact.  A stack of functions gives one distance per
+    row.
     """
     fine = UniformGrid(math.lcm(f.grid.n, g.grid.n))
-    fl, fm, fr = _segment_samples(f, fine)
-    gl, gm, gr = _segment_samples(g, fine)
-    dl, dm, dr = fl - gl, fm - gm, fr - gr
-    total = fine.h / 6.0 * float(np.sum(dl * dl + 4.0 * dm * dm + dr * dr))
-    return math.sqrt(max(total, 0.0))
+    # Simpson weights 1, 4, 1 on the left ends, midpoints and right ends
+    cellwise = 0.0
+    for weight, fs, gs in zip((1.0, 4.0, 1.0), _segment_samples(f, fine),
+                              _segment_samples(g, fine)):
+        d = fs - gs
+        cellwise = cellwise + weight * d * d
+    return rowwise(cellwise,
+                   lambda row: math.sqrt(max(fine.h / 6.0 * float(np.sum(row)), 0.0)))
 
 
-def discrete_h1_error(f: GridFunction, g: GridFunction) -> float:
-    """Exact L2 distance between the derivatives of two nodal grid functions."""
+def discrete_h1_error(f: GridFunction, g: GridFunction):
+    """Exact L2 distance between the derivatives of two nodal grid functions.
+
+    Row by row for stacks, like discrete_l2_error.
+    """
     if f.kind != "nodal" or g.kind != "nodal":
         raise ValueError("H1 distance requires nodal (piecewise linear) functions")
     fine = UniformGrid(math.lcm(f.grid.n, g.grid.n))
     slopes = []
     for fn in (f, g):
         factor = fine.n // fn.grid.n
-        s = np.repeat(np.diff(fn.values) / fn.grid.h, factor)
+        s = np.repeat(np.diff(fn.values, axis=-1) / fn.grid.h, factor, axis=-1)
         slopes.append(s)
     ds = slopes[0] - slopes[1]
-    return math.sqrt(fine.h * float(np.dot(ds, ds)))
+    return rowwise(ds, lambda row: math.sqrt(fine.h * float(np.dot(row, row))))

@@ -148,16 +148,20 @@ def _circulant_scale(n: int, H: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IncrementPath:
-    """One sampled path of fBm increments DW_i over the cells of a grid."""
+    """One sampled path of fBm increments DW_i over the cells of a grid.
+
+    A 2-D `increments` array is a stack of paths on the same grid, one per
+    row; the solvers then solve every row.
+    """
 
     grid: UniformGrid
     increments: np.ndarray
 
     def __post_init__(self):
         inc = np.asarray(self.increments, dtype=float)
-        if inc.shape != (self.grid.n,):
+        if inc.ndim not in (1, 2) or inc.shape[-1] != self.grid.n:
             raise ValueError(
-                f"expected {self.grid.n} increments, got shape {inc.shape}"
+                f"expected {self.grid.n} increments per row, got shape {inc.shape}"
             )
         object.__setattr__(self, "increments", inc)
 
@@ -227,7 +231,7 @@ def aggregate_increments(path: IncrementPath, factor: int) -> IncrementPath:
 
     Coarse increment j is exactly the sum of the factor fine increments in
     coarse cell j, so coarse and fine paths are couplings of the same
-    Brownian path.
+    Brownian path.  A stack of paths is aggregated row by row.
     """
     if factor < 1:
         raise ValueError(f"aggregation factor must be >= 1, got {factor}")
@@ -236,7 +240,8 @@ def aggregate_increments(path: IncrementPath, factor: int) -> IncrementPath:
             f"cannot aggregate {path.grid.n} increments by factor {factor}"
         )
     coarse = UniformGrid(path.grid.n // factor)
-    summed = path.increments.reshape(coarse.n, factor).sum(axis=1)
+    inc = path.increments
+    summed = inc.reshape(inc.shape[:-1] + (coarse.n, factor)).sum(axis=-1)
     return IncrementPath(coarse, summed)
 
 
@@ -246,7 +251,7 @@ def increments_on(path: IncrementPath, grid: UniformGrid) -> np.ndarray:
     The noise may live on `grid` or on any coarser grid that divides it;
     each cell of `grid` inherits an equal share of its parent's increment,
     so the noise density stays the same.  Any other grid raises
-    GridMismatchError.
+    GridMismatchError.  A stack of paths is spread row by row.
     """
     if path.grid.n == grid.n:
         return path.increments
@@ -255,7 +260,7 @@ def increments_on(path: IncrementPath, grid: UniformGrid) -> np.ndarray:
             f"noise on {path.grid.n} cells does not divide the solver grid "
             f"with {grid.n} cells")
     factor = grid.n // path.grid.n
-    return np.repeat(path.increments / factor, factor)
+    return np.repeat(path.increments / factor, factor, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -40,30 +40,48 @@ COERCIVITY = 2.0
 def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
                        residual_norm: Callable, theta: float, tol: float,
                        max_iters: int, label: str) -> tuple:
-    """Iterate u <- u + theta * direction(defect(u)) from u0; the loop of both solvers.
+    """Iterate u <- u + theta * direction(defect(u)) on every row of the stack u0.
 
-    Stops at the first iterate whose residual_norm(defect) is <= tol and
-    returns (u, residual, iterations).  Raises ValueError for a negative or
-    NaN tol or a negative max_iters, and NonConvergenceError after max_iters
-    steps without reaching tol.
+    The loop of both solvers; one solve is a stack of one row.  Only the rows
+    still iterating are worked on: defect(u, rows) gets their iterates and
+    their indices into u0, and direction and residual_norm map a stack of
+    defects row by row (residual_norm to one norm per row).  A row stops at
+    the first iterate whose residual is <= tol, exactly as it would alone,
+    and is frozen from then on.
+
+    Returns (u, residuals, iterations), the last two with one entry per row.
+    Raises ValueError for a negative or NaN tol or a negative max_iters, and
+    NonConvergenceError for the first row still above tol after max_iters
+    steps.
     """
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be a number >= 0, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    u = u0
-    residual = math.inf
+    u = np.array(u0, dtype=float)
+    rows = np.arange(len(u))
+    residuals = np.full(len(u), math.inf)
+    iterations = np.zeros(len(u), dtype=int)
+    active = u  # iterates of the rows in `rows`
     for iteration in range(max_iters + 1):
-        d = defect(u)
+        d = defect(active, rows)
         residual = residual_norm(d)
-        if residual <= tol:
-            return u, residual, iteration
+        residuals[rows] = residual
+        iterations[rows] = iteration
+        going = ~(residual <= tol)  # a NaN residual keeps its row going
+        if not going.all():
+            u[rows] = active
+            rows, active, d = rows[going], active[going], d[going]
+            if not len(rows):
+                return u, residuals, iterations
         if iteration < max_iters:
-            u = u + theta * direction(d)
+            active += theta * direction(d)
+    row = int(rows[0])
     raise NonConvergenceError(
-        f"{label} stalled at residual {residual:.3e} after {max_iters} iterations",
-        residual=residual,
+        f"{label} stalled at residual {residuals[row]:.3e} after {max_iters} iterations",
+        residual=float(residuals[row]),
         iterations=max_iters,
+        row=row,
     )
 
 

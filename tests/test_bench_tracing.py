@@ -3,16 +3,23 @@
 bench/tracing.py wraps public functions under the names callers resolve them
 by.  A refactor that renames a wrapped function, or that captures a solver at
 import time (in a dict or a default argument), leaves the traced benchmark
-silently short of spans; the exact counts below catch both.
+silently short of spans; the exact counts below catch both.  A study solves
+its samples in blocks of rows, so the counts follow the blocks: one solve per
+block and grid, one tridiagonal solve per stacked FEM step, one reaction call
+per stacked defect, and iteration totals that equal those of row-by-row
+solves.
 """
 
 import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from fracbvp import StudyConfig, run_convergence_study
+from fracbvp import (IncrementSampler, StudyConfig, UniformGrid, aggregate_increments,
+                     run_convergence_study, solve_hammerstein, solve_nonlinear_fem)
+from fracbvp import experiments
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -26,11 +33,33 @@ def tracing(monkeypatch):
     return tracing
 
 
-def test_tiny_both_solver_study_is_fully_traced(tracing):
+def _row_iterations(config, solve) -> np.ndarray:
+    """(samples, grids) iteration counts of every sample solved alone, reference first."""
+    problem = config.problem()
+    sampler = IncrementSampler(UniformGrid(config.reference_n), config.hurst, config.sampler)
+    counts = []
+    for m in range(config.samples):
+        fine = sampler.sample(np.random.default_rng([config.seed, m]))
+        paths = [fine] + [aggregate_increments(fine, config.reference_n // n)
+                          for n in config.level_ns()]
+        counts.append([solve(problem, path, tol=config.tol,
+                             max_iters=config.max_iters).iterations for path in paths])
+    return np.array(counts)
+
+
+def test_tiny_both_solver_study_is_fully_traced(tracing, monkeypatch):
+    rows = 2
+    monkeypatch.setattr(experiments, "_block_rows", lambda fine_n: rows)
     config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=2,
                          ref_extra=1, samples=3, seed=5, solver="both")
     samples, levels = config.samples, config.levels
+    blocks = -(-samples // rows)
     untraced = run_convergence_study(config).to_dict(include_timing=False)
+    fem_rows = _row_iterations(config, solve_nonlinear_fem)
+    greens_rows = _row_iterations(config, solve_hammerstein)
+    # a stacked solve steps until its slowest row stops
+    steps = lambda counts: sum(int(counts[start:start + rows].max(axis=0).sum())
+                               for start in range(0, samples, rows))
 
     tracer = tracing.Tracer()
     tracer.install()
@@ -51,11 +80,13 @@ def test_tiny_both_solver_study_is_fully_traced(tracing):
     assert spans == ({target[2] for target in tracing.TARGETS}
                      - {"greens.cell_integrals", "greens.kernel"} | {tracing.ROOT_SPAN})
     assert count("noise.draws") == samples
-    assert count("fem.solves") == count("greens.solves") == samples * (levels + 1)
-    assert count("grids.l2_error_calls") == 2 * samples * levels
-    # one tridiagonal solve per FEM step, one reaction call per defect
-    assert count("fem.tridiag_solves") == count("fem.iterations") > 0
-    defects = sum(count(f"{layer}.{kind}") for layer in ("fem", "greens")
-                  for kind in ("solves", "iterations"))
+    assert count("fem.solves") == count("greens.solves") == blocks * (levels + 1)
+    assert count("grids.l2_error_calls") == 2 * blocks * levels
+    assert count("fem.iterations") == fem_rows.sum() > 0
+    assert count("greens.iterations") == greens_rows.sum() > 0
+    # one tridiagonal solve per stacked FEM step, one reaction call per
+    # stacked defect: every step and the final check evaluate one
+    assert count("fem.tridiag_solves") == steps(fem_rows)
+    defects = steps(fem_rows) + steps(greens_rows) + 2 * blocks * (levels + 1)
     assert count("problem.reaction_calls") == defects + count("problem.reaction_calls", 2)
     assert count("fem.nonconverged") == count("greens.nonconverged") == 0

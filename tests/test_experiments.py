@@ -23,6 +23,8 @@ from fracbvp import (
     verify_noise_norm,
     verify_solver_agreement,
 )
+from fracbvp import experiments
+from fracbvp.errors import NonConvergenceError
 from fracbvp.experiments import _coupled_paths, kernel_pair_sum_quadrature
 from fracbvp.noise import StepFunction, singular_kernel_pair_sum
 
@@ -213,6 +215,80 @@ class TestOtherStudies:
         for solver in ("greens", "both"):
             with pytest.raises(ValueError):
                 run_superconvergence_study(StudyConfig(**config, solver=solver))
+
+
+class TestBlocks:
+    """Samples are solved in blocks of rows; the block size must not show."""
+
+    SAMPLES = 17
+
+    @staticmethod
+    def _outputs(threads: int = 1) -> dict:
+        samples = TestBlocks.SAMPLES
+        base = dict(hurst=0.3, reaction="sin", forcing="one", n0=4, levels=3,
+                    samples=samples, seed=6)
+        out = {}
+        for solver in ("fem", "greens", "both"):
+            config = StudyConfig(**base, ref_extra=2, solver=solver, sampler="davies-harte")
+            out[solver] = run_convergence_study(config, threads).to_dict(include_timing=False)
+        out["h1"] = run_h1_blowup_study(StudyConfig(**base, solver="greens"), threads)
+        out["super"] = run_superconvergence_study(StudyConfig(**base), threads)
+        out["agreement"] = repr(verify_solver_agreement(0.3, level_ns=(4, 8, 16),
+                                                        samples=samples, threads=threads))
+        return json.loads(json.dumps(out, sort_keys=True))
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        reports = {}
+        for rows in (1, 7, self.SAMPLES):
+            monkeypatch.setattr(experiments, "_block_rows", lambda fine_n: rows)
+            reports[rows] = self._outputs()
+            if rows == 7:
+                # three uneven blocks, run by a pool
+                assert self._outputs(threads=3) == reports[rows]
+        assert reports[1] == reports[7] == reports[self.SAMPLES]
+
+    def test_squares_round_like_python_floats(self):
+        # reports square each error as a Python float (libm's pow); with
+        # glibc, pow and x * x differ in the last bit for this value
+        x = 0.9503546630566793
+        assert experiments._squares(np.array([x, 0.5])).tolist() == [x ** 2, 0.25]
+
+    def test_rows_per_block_follow_the_sampling_grid(self):
+        # one (rows, 2n) float64 array of a block stays within 256 KiB
+        assert experiments._block_rows(512) == 32
+        assert experiments._block_rows(1024) == 16
+        assert experiments._block_rows(1 << 20) == 1
+
+    @pytest.mark.parametrize("solver", ["fem", "greens"])
+    def test_stall_names_seed_sample_level_and_solver(self, monkeypatch, solver):
+        monkeypatch.setattr(experiments, "_block_rows", lambda fine_n: 2)
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=2,
+                             samples=5, seed=4321, solver=solver, max_iters=1)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            run_convergence_study(config)
+        message = str(excinfo.value)
+        # the first solve of the first block is the reference solve of sample 0
+        assert "seed 4321" in message
+        assert "sample m=0" in message
+        assert f"level n={config.reference_n}" in message
+        assert f"{solver} solver" in message
+        assert excinfo.value.iterations == 1
+
+    def test_stall_in_a_later_block_names_its_sample(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_block_rows", lambda fine_n: 2)
+        blocks = []
+
+        def statistic(fine_path, paths):
+            blocks.append(len(fine_path.increments))
+            if len(blocks) == 2:  # rows 2 and 3; the second one stalls
+                raise NonConvergenceError("stalled", residual=1.0, iterations=9, row=1)
+            return np.zeros((len(fine_path.increments), 1))
+
+        with pytest.raises(NonConvergenceError) as excinfo:
+            experiments._coupled_samples(statistic, 8, [8], 0.25, "cholesky",
+                                         samples=5, seed=77, threads=1)
+        assert str(excinfo.value) == "seed 77, sample m=3, stalled"
+        assert blocks == [2, 2]
 
 
 class TestVerificationChecks:

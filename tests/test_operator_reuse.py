@@ -13,6 +13,7 @@ import pytest
 
 from fracbvp import (StudyConfig, run_convergence_study, run_h1_blowup_study,
                      verify_solver_agreement)
+from fracbvp.experiments import _block_rows
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,6 +42,10 @@ def _span_count(tracer, name):
     return sum(1 for span in tracer.spans if span[0] == name and span[4] == 1)
 
 
+def _blocks(samples, fine_n):
+    return -(-samples // _block_rows(fine_n))
+
+
 def _assert_no_kernel_matrix(tracer):
     assert tracer.counts[(1, "greens.operator_bytes")] == 0
     assert _span_count(tracer, "greens.cell_integrals") == 0
@@ -52,7 +57,8 @@ def test_greens_study_builds_no_kernel_matrix(tracing):
                          ref_extra=1, samples=3, seed=5, solver="greens")
     grids = config.level_ns() + [config.reference_n]
     tracer = _traced(tracing, lambda: run_convergence_study(config))
-    assert tracer.counts[(1, "greens.solves")] == config.samples * len(grids)
+    blocks = _blocks(config.samples, config.reference_n)
+    assert tracer.counts[(1, "greens.solves")] == blocks * len(grids)
     _assert_no_kernel_matrix(tracer)
 
 
@@ -60,11 +66,12 @@ def test_h1_study_and_solver_agreement_build_no_kernel_matrix(tracing):
     config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=3,
                          samples=3, seed=2, solver="greens")
     tracer = _traced(tracing, lambda: run_h1_blowup_study(config))
-    assert tracer.counts[(1, "greens.solves")] == config.samples * config.levels
+    blocks = _blocks(config.samples, max(config.level_ns()))
+    assert tracer.counts[(1, "greens.solves")] == blocks * config.levels
     _assert_no_kernel_matrix(tracer)
 
     level_ns = (4, 8, 16)
     tracer = _traced(tracing, lambda: verify_solver_agreement(0.25, level_ns=level_ns,
                                                               samples=3, seed=2))
-    assert tracer.counts[(1, "greens.solves")] == 3 * len(level_ns)
+    assert tracer.counts[(1, "greens.solves")] == _blocks(3, max(level_ns)) * len(level_ns)
     _assert_no_kernel_matrix(tracer)
