@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NonConvergenceError
 from .fem import ritz_projection, solve_nonlinear_fem
@@ -437,7 +436,10 @@ def kernel_pair_sum_quadrature(grid: UniformGrid, hurst, limit: int = 512) -> fl
     Integrates, per lag, the analytic inner antiderivative of
     |x - y|^{2H-2} with an adaptive Gauss-Kronrod rule (up to `limit`
     subdivisions), independent of the closed-form second differences.
+    scipy is imported here, so only this oracle needs it.
     """
+    from scipy import integrate
+
     H = _as_hurst(hurst).value
     if H == 0.5:
         raise ValueError("pair sum requires H < 1/2")

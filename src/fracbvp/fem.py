@@ -7,8 +7,10 @@ cell width over each cell it touches, so (noise, phi_j) reduces to averaged
 increments.  Smooth loads use a two-point Gauss rule per cell (exact for the
 products of linears that arise).  The nonlinear term is handled by the same
 damped fixed-point iteration as the mild solver, preconditioned by the
-stiffness matrix.  A stack of noise paths, one per row, is solved row by
-row in one loop: every step is one multi-right-hand-side tridiagonal solve.
+stiffness matrix.  The stiffness solve is Gaussian elimination with its
+multipliers in closed form: two running sums, no factorization and no
+LAPACK.  A stack of noise paths, one per row, is solved row by row in one
+loop: every step is one stiffness solve along the last axis of the stack.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
                     discrete_l2_error, gauss_values, rowwise)
@@ -37,9 +38,6 @@ __all__ = [
 ]
 
 
-_GTSV = get_lapack_funcs("gtsv", (np.empty(0),))
-
-
 def _require_finite(array: np.ndarray) -> None:
     # a sum of squares is finite only if every entry is; on overflow the
     # exact elementwise test decides
@@ -49,58 +47,69 @@ def _require_finite(array: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Real tridiagonal system stored by bands (interior nodes only).
+    """Stiffness matrix tridiag(-1, 2, -1)/h of -u'' on the interior nodes of a grid.
 
     Vectors are the last axis: matvec and solve map a stack of rows row by
-    row.
+    row.  Gaussian elimination of tridiag(-1, 2, -1) has the pivots
+    (i+1)/i and the multipliers -(i-1)/i in closed form, so with weights
+    set up once per grid the solve is two running sums and no
+    factorization: the forward sweep is z = cumsum(i b), the back sweep
+    x_i = (i/n) sum_{k >= i} z_k / (k (k+1)), a reversed cumsum.
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    grid: UniformGrid
+
+    def __post_init__(self):
+        if self.grid.n < 2:
+            raise ValueError("need at least 2 cells for one interior node")
+        ramp = np.arange(1.0, self.grid.n)
+        object.__setattr__(self, "_ramp", ramp)
+        object.__setattr__(self, "_back", 1.0 / (ramp * (ramp + 1.0)))
+        object.__setattr__(self, "_scale", ramp / self.grid.n)
+
+    @property
+    def _inv_h(self) -> float:
+        return 1.0 / self.grid.h
+
+    @property
+    def diag(self) -> np.ndarray:
+        return np.full(self.grid.n - 1, 2.0 * self._inv_h)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.full(self.grid.n - 2, -self._inv_h)
+
+    upper = lower
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[..., 1:] += self.lower * v[..., :-1]
-        out[..., :-1] += self.upper * v[..., 1:]
+        off = -self._inv_h
+        out = (2.0 * self._inv_h) * v
+        out[..., 1:] += off * v[..., :-1]
+        out[..., :-1] += off * v[..., 1:]
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LAPACK gtsv, the routine scipy's solve_banded((1, 1), ...) calls,
-        with its checks: ValueError on non-finite input or an illegal
-        argument, LinAlgError on a singular matrix, and a 1x1 system solved
-        by division.
+        """The stiffness solve by two running sums along the last axis.
 
-        A stack of right-hand sides (rows, m) is one gtsv call with the rows
-        as its columns; gtsv eliminates each column exactly as it would a
-        single right-hand side."""
+        ValueError on a non-finite right-hand side or one whose last axis
+        is not the interior nodes.  Running sums add in order along each
+        row, so a stack of rows solves bit for bit as each row alone."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim > 2 or rhs.shape[-1:] != self.diag.shape:
-            raise ValueError("shapes of the bands and the right-hand side are not compatible")
-        for array in (self.lower, self.diag, self.upper, rhs):
-            _require_finite(array)
-        if len(self.diag) == 1:
-            return rhs / self.diag[0]
-        # a C-contiguous stack of rows is an F-contiguous (m, rows) matrix
-        _, _, _, x, info = _GTSV(self.lower, self.diag, self.upper, rhs.T)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-        return x.T
+        if rhs.shape[-1:] != self._ramp.shape:
+            raise ValueError("right-hand side does not match the interior nodes")
+        _require_finite(rhs)
+        z = self._ramp * rhs
+        np.cumsum(z, axis=-1, out=z)
+        z *= self._back
+        x = np.empty_like(z)
+        np.cumsum(z[..., ::-1], axis=-1, out=x[..., ::-1])
+        x *= self._scale
+        return x
 
 
 def assemble_stiffness(grid: UniformGrid) -> Tridiagonal:
     """Stiffness matrix of -u'' on the interior nodes: tridiag(-1, 2, -1)/h."""
-    if grid.n < 2:
-        raise ValueError("need at least 2 cells for one interior node")
-    m = grid.n - 1
-    inv_h = 1.0 / grid.h
-    return Tridiagonal(
-        lower=-inv_h * np.ones(m - 1),
-        diag=2.0 * inv_h * np.ones(m),
-        upper=-inv_h * np.ones(m - 1),
-    )
+    return Tridiagonal(grid)
 
 
 def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray) -> np.ndarray:
@@ -184,11 +193,11 @@ def _residual_norms(grid: UniformGrid, defect: np.ndarray) -> np.ndarray:
 
 
 def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> FemSolution:
-    """Direct banded solve of the linear problem -u'' = load functional."""
+    """Direct stiffness solve of the linear problem -u'' = load functional."""
     stiffness = assemble_stiffness(grid)
     interior = stiffness.solve(np.asarray(load, dtype=float))
     if not np.all(np.isfinite(interior)):
-        raise FloatingPointError("banded solve produced non-finite values")
+        raise FloatingPointError("stiffness solve produced non-finite values")
     residuals = _residual_norms(grid, load - stiffness.matvec(interior))
     return FemSolution(grid, interior, residuals, np.zeros(len(residuals), dtype=int))
 
@@ -240,7 +249,7 @@ def ritz_projection(w, grid: UniformGrid) -> GridFunction:
 
     The right-hand side (w', phi_j') collapses to exact nodal differences
     (2 w(x_j) - w(x_{j-1}) - w(x_{j+1}))/h, so in one dimension the
-    projection coincides with nodal interpolation; the banded solve is kept
+    projection coincides with nodal interpolation; the stiffness solve is kept
     as the defining computation.
 
     Args:

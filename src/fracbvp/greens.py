@@ -85,28 +85,39 @@ def _nodal_apply(grid: UniformGrid):
     contributions are added before they enter a running sum.  The result is
     the two-point Gauss rule applied to G(x_j, .) phi, exact whenever phi is
     linear per cell, since G(x_j, .) is linear on every cell.  A stack of
-    rows phi maps row by row.
+    rows phi maps row by row, into `out` when it is given (one row per row
+    of phi).  The running sums go through scratch rows kept from call to
+    call, grown to the largest stack seen, so a loop that passes `out`
+    allocates no stack-sized array here.
     """
     nodes = grid.nodes()
     gauss = grid.gauss_points()
     # weights of each cell's first and second Gauss point
     left = [0.5 * grid.h * gauss[k::2] for k in (0, 1)]
     right = [0.5 * grid.h * (1.0 - gauss[k::2]) for k in (0, 1)]
+    scratch = []  # [above, cells, term], each with the largest row count seen
 
-    def apply(phi: np.ndarray) -> np.ndarray:
-        first, second = phi[..., 0::2], phi[..., 1::2]
-        below = np.zeros(phi.shape[:-1] + (grid.n + 1,))
-        above = np.zeros_like(below)
-        cells = left[0] * first
-        cells += left[1] * second
-        np.cumsum(cells, axis=-1, out=below[..., 1:])
+    def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        stack = np.atleast_2d(phi)
+        rows = len(stack)
+        if not scratch or len(scratch[0]) < rows:
+            scratch[:] = [np.empty((rows, grid.n + 1)), np.empty((rows, grid.n)),
+                          np.empty((rows, grid.n))]
+        above, cells, term = (array[:rows] for array in scratch)
+        below = np.empty((rows, grid.n + 1)) if out is None else out
+        first, second = stack[:, 0::2], stack[:, 1::2]
+        np.multiply(left[0], first, out=cells)
+        cells += np.multiply(left[1], second, out=term)
+        below[:, 0] = 0.0
+        np.cumsum(cells, axis=-1, out=below[:, 1:])
         np.multiply(right[0], first, out=cells)
-        cells += right[1] * second
-        np.cumsum(cells[..., ::-1], axis=-1, out=above[..., -2::-1])
+        cells += np.multiply(right[1], second, out=term)
+        above[:, -1] = 0.0
+        np.cumsum(cells[:, ::-1], axis=-1, out=above[:, -2::-1])
         below *= 1.0 - nodes
         above *= nodes
         below += above
-        return below
+        return below.reshape(phi.shape[:-1] + (grid.n + 1,))
 
     return apply
 
@@ -180,7 +191,9 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     exact and the loop exits immediately.  K is applied in O(n) per
     iteration (see _nodal_apply), so memory stays linear in the grid size.
     A stack of paths is solved row by row in one loop, each row to exactly
-    the result of its own solve.
+    the result of its own solve.  The Gauss values, running sums and
+    defects of the loop live in arrays set up once per call, so a step
+    does not return stack-sized blocks to the allocator.
 
     Args:
         problem: Hurst index, reaction, forcing.
@@ -206,9 +219,17 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     rhs = apply_k(density)
     rhs_rows = np.atleast_2d(rhs)
     del density  # (rows, 2n) values the loop does not need
+    # every step reuses these, the active rows being their leading rows
+    at_gauss = np.empty((len(rhs_rows), 2 * grid.n))
+    defects = np.empty_like(rhs_rows)
 
     def defect(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return u + apply_k(problem.reaction(gauss, gauss_values(u))) - rhs_rows[rows]
+        active = len(rows)
+        reaction = problem.reaction(gauss, gauss_values(u, out=at_gauss[:active]))
+        d = apply_k(reaction, out=defects[:active])
+        d += u  # u + K f(., u), summed in either order alike
+        d -= rhs_rows[rows]
+        return d
 
     # u + theta * (-d) rounds exactly like u - theta * d
     u, residuals, iterations = damped_fixed_point(

@@ -110,10 +110,26 @@ class GridFunction:
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError("evaluation points must lie in [0, 1]")
         if self.kind == "nodal":
-            nodes = self.grid.nodes()
-            return rowwise(self.values, lambda row: np.interp(x, nodes, row))
+            return self._interp(x)
         idx = np.clip(np.ceil(x * self.grid.n).astype(int) - 1, 0, self.grid.n - 1)
         return self.values[..., idx]
+
+    def _interp(self, x: np.ndarray) -> np.ndarray:
+        """np.interp(x, nodes, row) for every row at once, with np.interp's arithmetic.
+
+        x_j <= x < x_{j+1} picks the segment; a hit on a node, the right
+        end included, takes the nodal value as it is, and any other point
+        slope_j * (x - x_j) + v_j, the slope being (v_{j+1} - v_j) /
+        (x_{j+1} - x_j), so every row rounds exactly as np.interp rounds it.
+        """
+        nodes, v = self.grid.nodes(), self.values
+        j = np.searchsorted(nodes, x, side="right") - 1
+        hit = nodes[j] == x
+        seg = np.minimum(j, self.grid.n - 1)
+        slopes = (v[..., 1:] - v[..., :-1]) / (nodes[1:] - nodes[:-1])
+        out = slopes[..., seg] * (x - nodes[seg]) + v[..., seg]
+        out = np.where(hit, v[..., j], out)
+        return out[()] if out.ndim == 0 else out
 
     def l2_norm(self):
         """Exact L2 norm of the piecewise polynomial; one per row of a stack."""
@@ -138,14 +154,16 @@ class GridFunction:
         return rowwise(norms, lambda pair: math.sqrt(float(pair[0]) ** 2 + float(pair[1]) ** 2))
 
 
-def gauss_values(nodal: np.ndarray) -> np.ndarray:
+def gauss_values(nodal: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Piecewise linear interpolant of n+1 nodal values at the 2n Gauss points.
 
-    Works along the last axis, so a stack of nodal rows maps row by row.
+    Works along the last axis, so a stack of nodal rows maps row by row;
+    the result goes to `out` when it is given.
     """
     t_lo, t_hi = GAUSS_OFFSETS
     left, right = nodal[..., :-1], nodal[..., 1:]
-    out = np.empty(left.shape[:-1] + (2 * left.shape[-1],))
+    if out is None:
+        out = np.empty(left.shape[:-1] + (2 * left.shape[-1],))
     out[..., 0::2] = (1.0 - t_lo) * left + t_lo * right
     out[..., 1::2] = (1.0 - t_hi) * left + t_hi * right
     return out

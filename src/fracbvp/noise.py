@@ -111,11 +111,11 @@ def increment_covariance_matrix(grid: UniformGrid, hurst) -> np.ndarray:
     |i - j|, with h^{2H} on the diagonal and negative off-diagonal entries
     for H < 1/2.
     """
-    from scipy.linalg import toeplitz
-
     H = _as_hurst(hurst).value
     rho = _increment_autocovariance(np.arange(grid.n), grid.h, H)
-    return toeplitz(rho)
+    # window k of (rho_{n-1}, .., rho_1, rho_0, rho_1, .., rho_{n-1}) is row n-1-k
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rho[:0:-1], rho]), grid.n)
+    return windows[::-1].copy()
 
 
 # Factorizations are deterministic in (n, H), so the last four are cached per

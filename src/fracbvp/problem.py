@@ -47,7 +47,10 @@ def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
     their indices into u0, and direction and residual_norm map a stack of
     defects row by row (residual_norm to one norm per row).  A row stops at
     the first iterate whose residual is <= tol, exactly as it would alone,
-    and is frozen from then on.
+    and is frozen from then on.  A defect is read only until its step is
+    taken, so defect may hand back storage it reuses on its next call;
+    direction must return a new array, which the loop scales by theta in
+    place before adding it, so a step allocates nothing more.
 
     Returns (u, residuals, iterations), the last two with one entry per row.
     Raises ValueError for a negative or NaN tol or a negative max_iters, and
@@ -75,7 +78,9 @@ def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
             if not len(rows):
                 return u, residuals, iterations
         if iteration < max_iters:
-            active += theta * direction(d)
+            step = direction(d)
+            step *= theta
+            active += step
     row = int(rows[0])
     raise NonConvergenceError(
         f"{label} stalled at residual {residuals[row]:.3e} after {max_iters} iterations",

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import solve_banded
 
 from fracbvp import (
     GridFunction,
+    IncrementPath,
+    IncrementSampler,
     ProblemSpec,
     UniformGrid,
     assemble_load,
@@ -25,25 +27,32 @@ from oracles import from_callable, sample_increments
 
 
 class TestTridiagonal:
+    """The stiffness tridiag(-1, 2, -1)/h of one grid; nothing else is a Tridiagonal."""
+
     def test_matvec_matches_dense(self, rng):
-        n = 7
-        lower, diag, upper = rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1)
-        tri = Tridiagonal(lower, diag, upper)
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        v = rng.normal(size=n)
-        assert np.allclose(tri.matvec(v), dense @ v)
+        grid = UniformGrid(8)
+        stiffness = assemble_stiffness(grid)
+        m = grid.n - 1
+        dense = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.h
+        v = rng.normal(size=(3, m))
+        assert np.allclose(stiffness.matvec(v), v @ dense.T)
+        assert np.allclose(stiffness.matvec(v[0]), dense @ v[0])
 
     def test_solve_round_trip(self, rng):
-        n = 9
-        tri = Tridiagonal(-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1))
-        b = rng.normal(size=n)
-        x = tri.solve(b)
-        assert np.allclose(tri.matvec(x), b, atol=1e-12)
+        stiffness = assemble_stiffness(UniformGrid(10))
+        b = rng.normal(size=9)
+        x = stiffness.solve(b)
+        assert np.allclose(stiffness.matvec(x), b, atol=1e-12)
+
+    def test_built_from_a_grid_only(self):
+        with pytest.raises(TypeError):
+            Tridiagonal(-np.ones(2), 4.0 * np.ones(3), -np.ones(2))
+        assert Tridiagonal(UniformGrid(4)) == assemble_stiffness(UniformGrid(4))
 
 
 class TestTridiagonalSolve:
-    """Tridiagonal.solve calls LAPACK gtsv directly; it must match scipy's
-    solve_banded bit for bit and keep its checks."""
+    """The stiffness solve is two running sums; scipy's solve_banded, a
+    general LAPACK band solve, is its oracle."""
 
     @staticmethod
     def _banded(tri):
@@ -53,52 +62,54 @@ class TestTridiagonalSolve:
         banded[2, :-1] = tri.lower
         return banded
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 511])
-    def test_bit_identical_to_solve_banded(self, rng, m):
-        tri = Tridiagonal(rng.normal(size=m - 1), 4.0 + rng.normal(size=m),
-                          rng.normal(size=m - 1))
-        rhs = rng.normal(size=m)
-        before = rhs.copy()
-        x = tri.solve(rhs)
-        assert np.array_equal(x, solve_banded((1, 1), self._banded(tri), rhs))
-        assert np.array_equal(rhs, before)
-
-    @pytest.mark.parametrize("m", [1, 2, 511])
-    def test_stiffness_solve_bit_identical(self, rng, m):
+    @pytest.mark.parametrize("m", [1, 2, 7, 511, 4095, 16383])
+    def test_agrees_with_solve_banded(self, rng, m):
         stiffness = assemble_stiffness(UniformGrid(m + 1))
         rhs = rng.normal(size=m)
+        before = rhs.copy()
+        x = stiffness.solve(rhs)
+        oracle = solve_banded((1, 1), self._banded(stiffness), rhs)
+        assert np.array_equal(rhs, before)
+        # cond(A) grows like m^2; the drift stays far below that
+        assert np.abs(x - oracle).max() <= 1e-14 * m * np.abs(oracle).max()
+        # and the residual stays within 1.5 times the LAPACK solve's
+        residual = np.linalg.norm(rhs - stiffness.matvec(x))
+        floor = np.linalg.norm(rhs - stiffness.matvec(oracle))
+        assert residual <= 1.5 * floor + 8 * np.finfo(float).eps * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 511, 4095, 16383])
+    def test_stiffness_solve_bit_identical(self, rng, m):
+        # a stack of right-hand sides solves bit for bit as its rows alone
+        stiffness = assemble_stiffness(UniformGrid(m + 1))
+        rhs = rng.normal(size=(5, m))
         assert np.array_equal(stiffness.solve(rhs),
-                              solve_banded((1, 1), self._banded(stiffness), rhs))
+                              np.stack([stiffness.solve(row) for row in rhs]))
 
     @pytest.mark.parametrize("m", [1, 7])
     def test_non_finite_input_rejected(self, m):
-        tri = Tridiagonal(-np.ones(m - 1), 4.0 * np.ones(m), -np.ones(m - 1))
-        rhs = np.ones(m)
-        rhs[-1] = np.nan
-        with pytest.raises(ValueError):
-            tri.solve(rhs)
-        diag = 4.0 * np.ones(m)
-        diag[0] = np.inf
-        with pytest.raises(ValueError):
-            Tridiagonal(-np.ones(m - 1), diag, -np.ones(m - 1)).solve(np.ones(m))
+        stiffness = assemble_stiffness(UniformGrid(m + 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            rhs = np.ones((2, m))
+            rhs[-1, -1] = bad
+            with pytest.raises(ValueError):
+                stiffness.solve(rhs)
+            with pytest.raises(ValueError):
+                stiffness.solve(rhs[-1])
 
     def test_huge_finite_input_accepted(self):
         # squares overflow here, so the exact elementwise test must decide
-        tri = Tridiagonal(np.zeros(2), np.ones(3), np.zeros(2))
+        stiffness = assemble_stiffness(UniformGrid(4))
         rhs = np.array([1e300, -1e300, 1e300])
-        assert np.array_equal(tri.solve(rhs), rhs)
-
-    def test_singular_system_raises(self):
-        tri = Tridiagonal(np.zeros(3), np.array([1.0, 0.0, 1.0, 1.0]), np.zeros(3))
-        with pytest.raises(LinAlgError):
-            tri.solve(np.ones(4))
-        with pytest.raises(LinAlgError):
-            solve_banded((1, 1), self._banded(tri), np.ones(4))
+        x = stiffness.solve(rhs)
+        oracle = solve_banded((1, 1), self._banded(stiffness), rhs)
+        assert np.abs(x - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
     def test_shape_mismatch_rejected(self):
-        tri = Tridiagonal(np.zeros(0), np.ones(1), np.zeros(0))
+        stiffness = assemble_stiffness(UniformGrid(2))
         with pytest.raises(ValueError):
-            tri.solve(np.ones(3))
+            stiffness.solve(np.ones(3))
+        with pytest.raises(ValueError):
+            stiffness.solve(np.float64(1.0))
 
 
 class TestAssembly:
@@ -225,6 +236,17 @@ class TestNonlinearSolve:
             path = sample_increments(UniformGrid(32), 0.25, rng)
             solution = solve_nonlinear_fem(problem, path)
             assert solution.residual <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 16, 512, 1024])
+    def test_zero_reaction_exits_after_one_iteration(self, n):
+        # the first step is the exact linear solve, so every row of seeded
+        # noise stops at the next residual check
+        problem = ProblemSpec.from_labels(0.25, "zero", "one")
+        sampler = IncrementSampler(UniformGrid(n), 0.25, "davies-harte")
+        paths = IncrementPath(UniformGrid(n), sampler.sample_many(np.random.default_rng(n), 16))
+        solution = solve_nonlinear_fem(problem, paths)
+        assert solution.row_iterations.tolist() == [1] * 16
+        assert solve_nonlinear_fem(problem, grid=UniformGrid(n)).iterations == 1
 
     def test_nonconvergence_raises(self, rng):
         path = sample_increments(UniformGrid(16), 0.25, rng)

@@ -59,6 +59,23 @@ class TestGridFunction:
         assert f(0.125) == pytest.approx(0.5)
         assert f(0.625) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 1023])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 8])
+    def test_stacked_nodal_evaluation_equals_np_interp(self, n, factor):
+        # the points the error norms evaluate at on a refinement, plus both
+        # ends on their own; every row rounds as np.interp rounds it alone
+        grid, fine = UniformGrid(n), UniformGrid(n * factor)
+        rng = np.random.default_rng([n, factor])
+        values = rng.normal(size=(5, n + 1)) * np.array([1.0, 1e-8, 1e8, -3.0, 0.0])[:, None]
+        f = GridFunction(grid, values)
+        for x in (fine.nodes(), fine.midpoints(), fine.nodes()[:-1], fine.nodes()[1:],
+                  np.array([0.0, 1.0]), 0.0, 1.0, np.float64(fine.midpoints()[0])):
+            expected = np.array([np.interp(x, grid.nodes(), row) for row in values])
+            assert np.array_equal(f(x), expected)
+            single = GridFunction(grid, values[0])(x)
+            assert np.array_equal(single, np.interp(x, grid.nodes(), values[0]))
+            assert np.shape(single) == np.shape(x)
+
     def test_cell_evaluation_half_open_convention(self):
         grid = UniformGrid(4)
         f = GridFunction(grid, np.array([1.0, 2.0, 3.0, 4.0]), kind="cell")

@@ -82,6 +82,13 @@ class TestIncrementCovariance:
         assert np.allclose(got, expected, atol=1e-14), (
             f"increment covariance disagrees with second differences at n={n}, H={H}")
 
+    @pytest.mark.parametrize("H", HURSTS)
+    @pytest.mark.parametrize("n", [1, 2, 512])
+    def test_bit_identical_to_scipy_toeplitz(self, n, H):
+        grid = UniformGrid(n)
+        rho = noise_module._increment_autocovariance(np.arange(n), grid.h, H)
+        assert np.array_equal(increment_covariance_matrix(grid, H), toeplitz(rho))
+
     def test_diagonal_value(self):
         grid = UniformGrid(8)
         cov = increment_covariance_matrix(grid, 0.25)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from fracbvp import (IncrementPath, IncrementSampler, ProblemSpec, UniformGrid,
-                     aggregate_increments, discrete_h1_error, discrete_l2_error,
-                     ritz_projection, solve_hammerstein, solve_nonlinear_fem)
+                     aggregate_increments, assemble_stiffness, discrete_h1_error,
+                     discrete_l2_error, ritz_projection, solve_hammerstein,
+                     solve_nonlinear_fem)
 from fracbvp.errors import NonConvergenceError
-from fracbvp.fem import Tridiagonal
 
 SOLVERS = {"fem": solve_nonlinear_fem, "greens": solve_hammerstein}
 
@@ -82,7 +82,7 @@ def test_stall_names_the_row(solver):
 
 def test_stacked_tridiagonal_solve_equals_single_solves(rng):
     m = 511
-    tri = Tridiagonal(rng.normal(size=m - 1), 4.0 + rng.normal(size=m), rng.normal(size=m - 1))
+    tri = assemble_stiffness(UniformGrid(m + 1))
     rhs = rng.normal(size=(7, m))
     x = tri.solve(rhs)
     assert np.array_equal(x, np.stack([tri.solve(row) for row in rhs]))
