@@ -217,13 +217,9 @@ def _cmd_solve(args) -> int:
             "f": args.reaction, "g": args.forcing,
             "zero_noise": args.zero_noise}
     for name in solvers:
-        if name == "fem":
-            solution = solve_nonlinear_fem(problem, path, grid=grid, tol=args.tol)
-            values = solution.nodal_values
-        else:
-            solution = solve_hammerstein(problem, path, grid=grid, tol=args.tol)
-            values = solution.values
-        columns[name] = values
+        solve = solve_nonlinear_fem if name == "fem" else solve_hammerstein
+        solution = solve(problem, path, grid=grid, tol=args.tol)
+        columns[name] = solution.grid_function.values
         meta[f"residual_{name}"] = solution.residual
         meta[f"iterations_{name}"] = solution.iterations
 

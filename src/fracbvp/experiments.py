@@ -177,15 +177,6 @@ def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None, **
                                   exc.residual, exc.iterations, exc.row) from exc
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    """values ** 2 as Python floats square them, through libm's pow.
-
-    numpy's array square multiplies x * x, which rounds differently in about
-    one value in a thousand.
-    """
-    return np.array([float(v) ** 2 for v in values])
-
-
 # A block's largest array, (rows, 2 n) float64 values on a grid with n cells,
 # stays within this many bytes.
 _BLOCK_BYTES = 256 * 1024
@@ -277,7 +268,7 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
             reference = _solve(solver, problem, ref_path, **options).grid_function
             solutions = [_solve(solver, problem, paths[n], **options).grid_function
                          for n in level_ns]
-            out.append(np.stack([_squares(discrete_l2_error(u, reference))
+            out.append(np.stack([np.square(discrete_l2_error(u, reference))
                                  for u in solutions], axis=-1))
         return np.stack(out, axis=1)  # (rows, solvers, levels)
 
@@ -307,7 +298,7 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
     def h1_squared(fine_path: IncrementPath, paths: dict) -> np.ndarray:
         solutions = [_solve(config.solver, problem, paths[n], **options).grid_function
                      for n in level_ns]
-        return np.stack([_squares(u.h1_norm()) for u in solutions], axis=-1)
+        return np.stack([np.square(u.h1_norm()) for u in solutions], axis=-1)
 
     rows = _coupled_samples(h1_squared, max(level_ns), level_ns, config.hurst,
                             config.sampler, config.samples, config.seed, threads)
@@ -346,7 +337,7 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
             fem = _solve("fem", problem, path, **options)
             proxy = _solve("fem", problem, path, grid=UniformGrid(2 * n), **options)
             projected = ritz_projection(proxy.grid_function, path.grid)
-            out.append(_squares(discrete_h1_error(projected, fem.grid_function)))
+            out.append(np.square(discrete_h1_error(projected, fem.grid_function)))
         return np.stack(out, axis=-1)
 
     rows = _coupled_samples(projection_gaps, max(level_ns), level_ns, config.hurst,
@@ -530,7 +521,7 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
         for n in level_ns:
             fem = _solve("fem", problem, paths[n], tol=tol)
             mild = _solve("greens", problem, paths[n], tol=tol)
-            out.append(_squares(discrete_l2_error(fem.grid_function, mild.grid_function)))
+            out.append(np.square(discrete_l2_error(fem.grid_function, mild.grid_function)))
         return np.stack(out, axis=-1)
 
     rows = _coupled_samples(squared_gaps, max(level_ns), level_ns, hurst, "cholesky",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
-                    discrete_l2_error, gauss_values, rowwise)
+                    discrete_l2_error, gauss_values)
 from .noise import IncrementPath, increments_on
 from .problem import ProblemSpec, damped_fixed_point
 
@@ -155,15 +155,15 @@ def _with_boundary(interior: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Galerkin solution; values at interior nodes plus zero boundary data.
+    """Galerkin solution: nodal values, zero boundary data included.
 
-    For a stack of noise paths `interior` holds one solution per row;
+    For a stack of noise paths `values` holds one solution per row;
     row_residuals and row_iterations hold every row's final residual and
     iteration count (one entry for a single solve).
     """
 
     grid: UniformGrid
-    interior: np.ndarray
+    values: np.ndarray
     row_residuals: np.ndarray
     row_iterations: np.ndarray
 
@@ -178,28 +178,33 @@ class FemSolution:
         return int(self.row_iterations.sum())
 
     @property
+    def interior(self) -> np.ndarray:
+        return self.values[..., 1:-1]
+
+    @property
     def nodal_values(self) -> np.ndarray:
-        return _with_boundary(self.interior)
+        return self.values
 
     @property
     def grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.nodal_values, kind="nodal")
-
-
-def _residual_norms(grid: UniformGrid, defect: np.ndarray) -> np.ndarray:
-    """Discrete L2 norm of each row's load-vector defect, scaled like a density."""
-    h = grid.h
-    return rowwise(np.atleast_2d(defect), lambda row: math.sqrt(float(np.dot(row, row)) / h))
+        return GridFunction(self.grid, self.values, kind="nodal")
 
 
 def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> FemSolution:
-    """Direct stiffness solve of the linear problem -u'' = load functional."""
+    """Direct stiffness solve of the linear problem -u'' = load functional.
+
+    The residual is the L2 norm of the correction A^-1 (load - A x), the
+    step the nonlinear solver would take next.
+    """
     stiffness = assemble_stiffness(grid)
-    interior = stiffness.solve(np.asarray(load, dtype=float))
+    load = np.asarray(load, dtype=float)
+    interior = stiffness.solve(load)
     if not np.all(np.isfinite(interior)):
         raise FloatingPointError("stiffness solve produced non-finite values")
-    residuals = _residual_norms(grid, load - stiffness.matvec(interior))
-    return FemSolution(grid, interior, residuals, np.zeros(len(residuals), dtype=int))
+    correction = stiffness.solve(load - stiffness.matvec(interior))
+    residuals = np.atleast_1d(GridFunction(grid, _with_boundary(correction)).l2_norm())
+    return FemSolution(grid, _with_boundary(interior), residuals,
+                       np.zeros(len(residuals), dtype=int))
 
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
@@ -220,7 +225,8 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             deterministic problem.
         grid: FEM mesh; defaults to the path's grid, and may be any
             refinement of it (the noise stays constant on its own cells).
-        tol: tolerance on the discrete residual norm.
+        tol: tolerance on the L2 norm of the step A^-1 (load - A u - reaction
+            load), the same rule as the Green's solver's.
         max_iters: cap; NonConvergenceError beyond it.
     """
     if path is None and grid is None:
@@ -232,16 +238,16 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
     loads = np.atleast_2d(load)
     gauss = grid.gauss_points()
 
-    def defect(interior: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        at_gauss = gauss_values(_with_boundary(interior))
-        reaction_load = _gauss_assemble(grid, problem.reaction(gauss, at_gauss))
-        return loads[rows] - stiffness.matvec(interior) - reaction_load
+    def defect(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        reaction_load = _gauss_assemble(grid, problem.reaction(gauss, gauss_values(u)))
+        return loads[rows] - stiffness.matvec(u[:, 1:-1]) - reaction_load
 
     u, residuals, iterations = damped_fixed_point(
-        defect, stiffness.solve, np.zeros_like(loads),
-        lambda d: _residual_norms(grid, d), problem.reaction.step_size,
+        defect, lambda d: _with_boundary(stiffness.solve(d)),
+        np.zeros((len(loads), grid.n + 1)), grid, problem.reaction.step_size,
         tol, max_iters, "FEM fixed-point iteration")
-    return FemSolution(grid, u.reshape(load.shape), residuals, iterations)
+    return FemSolution(grid, u.reshape(load.shape[:-1] + (grid.n + 1,)),
+                       residuals, iterations)
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:

@@ -200,7 +200,8 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         path: noise increments on the solver grid or a coarser divisor, or
             a stack of them; None solves the deterministic problem.
         grid: solver grid; defaults to the path's grid.
-        tol: discrete L2 residual tolerance.
+        tol: tolerance on the L2 norm of the step, the defect
+            K f(., u) + u - rhs itself; the same rule as the FEM solver's.
         max_iters: iteration cap; NonConvergenceError beyond it.
 
     Returns:
@@ -231,9 +232,8 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         d -= rhs_rows[rows]
         return d
 
-    # u + theta * (-d) rounds exactly like u - theta * d
+    # u + theta * (-d) rounds exactly like u - theta * d, and -d has the norm of d
     u, residuals, iterations = damped_fixed_point(
-        defect, np.negative, np.zeros_like(rhs_rows),
-        lambda d: GridFunction(grid, d, kind="nodal").l2_norm(),
+        defect, np.negative, np.zeros_like(rhs_rows), grid,
         problem.reaction.step_size, tol, max_iters, "fixed-point iteration")
     return MildSolution(grid, u.reshape(rhs.shape), residuals, iterations)

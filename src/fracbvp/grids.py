@@ -20,7 +20,6 @@ __all__ = [
     "discrete_l2_error",
     "discrete_h1_error",
     "gauss_values",
-    "rowwise",
 ]
 
 # local coordinates of the two-point Gauss rule on each cell
@@ -65,16 +64,14 @@ class UniformGrid:
         return finer.n % self.n == 0
 
 
-def rowwise(values: np.ndarray, fn):
-    """fn of one function's values, or fn of each row of a stack, stacked.
+def _row_sums(values: np.ndarray):
+    """np.sum of one function's values, or of each row of a stack.
 
-    Reductions go through the 1-D call row by row, so every row of a stack
-    rounds exactly as it would alone: numpy's axis reductions need not add
-    in the order of the 1-D call.
+    A last-axis sum of a C-contiguous stack rounds every row exactly as the
+    1-D np.sum of that row; a strided last axis may be summed in another
+    order, so the stack is made contiguous first.
     """
-    if values.ndim == 1:
-        return fn(values)
-    return np.array([fn(row) for row in values])
+    return np.sum(np.ascontiguousarray(values), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -135,23 +132,21 @@ class GridFunction:
         """Exact L2 norm of the piecewise polynomial; one per row of a stack."""
         h, v = self.grid.h, self.values
         if self.kind == "cell":
-            return rowwise(v, lambda row: math.sqrt(h * float(np.dot(row, row))))
+            return np.sqrt(h * _row_sums(v * v))
         # int of a linear segment squared: h/3 (a^2 + a b + b^2)
         a, b = v[..., :-1], v[..., 1:]
-        return rowwise(a * a + a * b + b * b,
-                       lambda row: math.sqrt(h / 3.0 * float(np.sum(row))))
+        return np.sqrt(h / 3.0 * _row_sums(a * a + a * b + b * b))
 
     def h1_seminorm(self):
         """Exact L2 norm of the derivative; defined for the nodal kind only."""
         if self.kind != "nodal":
             raise ValueError("piecewise constant functions have no H1 seminorm")
-        h, dv = self.grid.h, np.diff(self.values, axis=-1)
-        return rowwise(dv, lambda row: math.sqrt(float(np.dot(row, row)) / h))
+        dv = np.diff(self.values, axis=-1)
+        return np.sqrt(_row_sums(dv * dv) / self.grid.h)
 
     def h1_norm(self):
-        # columns (L2 norm, H1 seminorm), squared as Python floats square
         norms = np.stack([self.l2_norm(), self.h1_seminorm()], axis=-1)
-        return rowwise(norms, lambda pair: math.sqrt(float(pair[0]) ** 2 + float(pair[1]) ** 2))
+        return np.sqrt(_row_sums(norms * norms))
 
 
 def gauss_values(nodal: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -205,8 +200,7 @@ def discrete_l2_error(f: GridFunction, g: GridFunction):
                               _segment_samples(g, fine)):
         d = fs - gs
         cellwise = cellwise + weight * d * d
-    return rowwise(cellwise,
-                   lambda row: math.sqrt(max(fine.h / 6.0 * float(np.sum(row)), 0.0)))
+    return np.sqrt(np.maximum(fine.h / 6.0 * _row_sums(cellwise), 0.0))
 
 
 def discrete_h1_error(f: GridFunction, g: GridFunction):
@@ -223,4 +217,4 @@ def discrete_h1_error(f: GridFunction, g: GridFunction):
         s = np.repeat(np.diff(fn.values, axis=-1) / fn.grid.h, factor, axis=-1)
         slopes.append(s)
     ds = slopes[0] - slopes[1]
-    return rowwise(ds, lambda row: math.sqrt(fine.h * float(np.dot(row, row))))
+    return np.sqrt(fine.h * _row_sums(ds * ds))

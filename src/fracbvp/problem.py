@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
+from .grids import GridFunction, UniformGrid
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
@@ -38,22 +39,25 @@ COERCIVITY = 2.0
 
 
 def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
-                       residual_norm: Callable, theta: float, tol: float,
+                       grid: UniformGrid, theta: float, tol: float,
                        max_iters: int, label: str) -> tuple:
     """Iterate u <- u + theta * direction(defect(u)) on every row of the stack u0.
 
-    The loop of both solvers; one solve is a stack of one row.  Only the rows
-    still iterating are worked on: defect(u, rows) gets their iterates and
-    their indices into u0, and direction and residual_norm map a stack of
-    defects row by row (residual_norm to one norm per row).  A row stops at
-    the first iterate whose residual is <= tol, exactly as it would alone,
-    and is frozen from then on.  A defect is read only until its step is
-    taken, so defect may hand back storage it reuses on its next call;
-    direction must return a new array, which the loop scales by theta in
-    place before adding it, so a step allocates nothing more.
+    The loop of both solvers; one solve is a stack of one row.  The rows of
+    u0 are nodal values on `grid` with zero ends.  Only the rows still
+    iterating are worked on: defect(u, rows) gets their iterates and their
+    indices into u0, and direction maps a stack of defects row by row to a
+    new stack of nodal steps with zero ends.  A row stops at the first
+    iterate whose step has an exact L2 norm <= tol, a rule that does not
+    depend on the grid (the step of a contraction bounds the distance to
+    its fixed point), exactly as it would alone, and is frozen from then
+    on.  A defect is read only until its step is taken, so defect may hand
+    back storage it reuses on its next call; the loop scales the step by
+    theta in place before adding it, so a step allocates nothing more.
 
-    Returns (u, residuals, iterations), the last two with one entry per row.
-    Raises ValueError for a negative or NaN tol or a negative max_iters, and
+    Returns (u, residuals, iterations), the last two with one entry per row,
+    a residual being the L2 norm of the row's last step.  Raises ValueError
+    for a negative or NaN tol or a negative max_iters, and
     NonConvergenceError for the first row still above tol after max_iters
     steps.
     """
@@ -67,18 +71,17 @@ def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
     iterations = np.zeros(len(u), dtype=int)
     active = u  # iterates of the rows in `rows`
     for iteration in range(max_iters + 1):
-        d = defect(active, rows)
-        residual = residual_norm(d)
+        step = direction(defect(active, rows))
+        residual = GridFunction(grid, step).l2_norm()
         residuals[rows] = residual
         iterations[rows] = iteration
         going = ~(residual <= tol)  # a NaN residual keeps its row going
         if not going.all():
             u[rows] = active
-            rows, active, d = rows[going], active[going], d[going]
+            rows, active, step = rows[going], active[going], step[going]
             if not len(rows):
                 return u, residuals, iterations
         if iteration < max_iters:
-            step = direction(d)
             step *= theta
             active += step
     row = int(rows[0])

@@ -163,6 +163,13 @@ class TestSolve:
         assert code == 0
         assert peak_bytes <= 256 * 2**20, peak_bytes
 
+    def test_fem_grid_4096_converges(self, capsys, tmp_path):
+        # the FEM stopping rule does not depend on h: the stiffness solve of
+        # the final defect stays far below the default tolerance
+        code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "4096",
+                                     "--f", "zero", "--out", str(tmp_path / "u.csv")])
+        assert code == 0, err
+
     def test_unreachable_tolerance_exits_numerical(self, capsys):
         code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "8",
                                      "--f", "sin", "--g", "one", "--seed", "2",

@@ -247,12 +247,6 @@ class TestBlocks:
                 assert self._outputs(threads=3) == reports[rows]
         assert reports[1] == reports[7] == reports[self.SAMPLES]
 
-    def test_squares_round_like_python_floats(self):
-        # reports square each error as a Python float (libm's pow); with
-        # glibc, pow and x * x differ in the last bit for this value
-        x = 0.9503546630566793
-        assert experiments._squares(np.array([x, 0.5])).tolist() == [x ** 2, 0.25]
-
     def test_rows_per_block_follow_the_sampling_grid(self):
         # one (rows, 2n) float64 array of a block stays within 256 KiB
         assert experiments._block_rows(512) == 32

@@ -237,16 +237,29 @@ class TestNonlinearSolve:
             solution = solve_nonlinear_fem(problem, path)
             assert solution.residual <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 16, 512, 1024])
+    @pytest.mark.parametrize("n", [2, 16, 512, 1024, 2048, 8192, 16384])
     def test_zero_reaction_exits_after_one_iteration(self, n):
         # the first step is the exact linear solve, so every row of seeded
-        # noise stops at the next residual check
+        # noise stops at the next step, a stiffness solve of rounding errors
+        # whose L2 norm does not grow with n
         problem = ProblemSpec.from_labels(0.25, "zero", "one")
         sampler = IncrementSampler(UniformGrid(n), 0.25, "davies-harte")
         paths = IncrementPath(UniformGrid(n), sampler.sample_many(np.random.default_rng(n), 16))
         solution = solve_nonlinear_fem(problem, paths)
         assert solution.row_iterations.tolist() == [1] * 16
         assert solve_nonlinear_fem(problem, grid=UniformGrid(n)).iterations == 1
+
+    @pytest.mark.parametrize("n", [2048, 8192, 16384])
+    @pytest.mark.parametrize("reaction", ["zero", "sin", "sqrt-clip"])
+    def test_fine_grids_converge(self, n, reaction):
+        # the stopping rule does not depend on h, so fine grids reach the
+        # default tolerance like coarse ones
+        problem = ProblemSpec.from_labels(0.25, reaction, "one")
+        sampler = IncrementSampler(UniformGrid(n), 0.25, "davies-harte")
+        paths = IncrementPath(UniformGrid(n), sampler.sample_many(np.random.default_rng(n), 4))
+        solution = solve_nonlinear_fem(problem, paths)
+        assert (solution.row_residuals <= 1e-10).all()
+        assert solution.row_iterations.max() < 40
 
     def test_nonconvergence_raises(self, rng):
         path = sample_increments(UniformGrid(16), 0.25, rng)

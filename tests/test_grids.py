@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracbvp import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
-from fracbvp.grids import gauss_values
+from fracbvp.grids import _row_sums, gauss_values
 
 from oracles import from_callable
 
@@ -115,6 +115,17 @@ class TestGridFunction:
                                      limit=200, epsabs=1e-13,
                                      points=list(grid.nodes()[1:-1]))
         assert f.l2_norm() ** 2 == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 7, 48, 513, 4097])
+def test_row_sums_round_each_row_as_its_own_sum(n):
+    # norms of a stack must equal the norms of its rows alone; numpy sums a
+    # strided last axis in another order than a contiguous row
+    rows = np.random.default_rng(n).normal(size=(6, n)) * 10.0 ** np.arange(-3, 3)[:, None]
+    f_ordered = np.asfortranarray(rows)
+    strided = np.asfortranarray(np.repeat(rows, 2, axis=0))[::2]  # strides (16, 96)
+    for stack in (f_ordered, strided):
+        assert _row_sums(stack).tolist() == [np.sum(row) for row in rows]
 
 
 class TestErrors:

@@ -18,7 +18,7 @@ SOLVERS = {"fem": solve_nonlinear_fem, "greens": solve_hammerstein}
 
 
 def _values(solution):
-    return solution.interior if hasattr(solution, "interior") else solution.values
+    return solution.grid_function.values
 
 
 def _stack(n, rows=6, seed=11):
@@ -78,6 +78,17 @@ def test_stall_names_the_row(solver):
         SOLVERS[solver](problem, stack, max_iters=cap)
     assert excinfo.value.row == first
     assert excinfo.value.iterations == cap
+
+
+@pytest.mark.parametrize("n", [16, 512, 4096])
+@pytest.mark.parametrize("reaction", ["zero", "sin", "sqrt-clip", "linear:-1.5"])
+def test_both_solvers_take_the_same_iterations(n, reaction):
+    # in 1D the stiffness-preconditioned FEM step is the Hammerstein step at
+    # the nodes, and both solvers stop on its L2 norm
+    problem = ProblemSpec.from_labels(0.3, reaction, "one")
+    stack = _stack(n)
+    fem, mild = solve_nonlinear_fem(problem, stack), solve_hammerstein(problem, stack)
+    assert fem.row_iterations.tolist() == mild.row_iterations.tolist()
 
 
 def test_stacked_tridiagonal_solve_equals_single_solves(rng):
