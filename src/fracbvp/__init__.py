@@ -24,7 +24,6 @@ from .experiments import (
     verify_solver_agreement,
 )
 from .fem import (
-    FemSolution,
     Tridiagonal,
     assemble_load,
     assemble_stiffness,
@@ -33,7 +32,6 @@ from .fem import (
     solve_nonlinear_fem,
 )
 from .greens import (
-    MildSolution,
     convolution_error_second_moment,
     greens_cell_integrals,
     greens_function,
@@ -58,6 +56,7 @@ from .problem import (
     REACTIONS,
     ProblemSpec,
     ReactionTerm,
+    Solution,
     linear_reaction,
     make_forcing,
     make_reaction,

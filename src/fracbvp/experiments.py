@@ -99,10 +99,6 @@ class StudyConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudyConfig":
-        return cls(**data)
-
     def problem(self) -> ProblemSpec:
         return ProblemSpec.from_labels(self.hurst, self.reaction, self.forcing)
 

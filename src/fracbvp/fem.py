@@ -5,12 +5,15 @@ Dirichlet data.  The noise load is computed exactly: the discretized noise
 is constant on each of its cells, and a hat function integrates to half a
 cell width over each cell it touches, so (noise, phi_j) reduces to averaged
 increments.  Smooth loads use a two-point Gauss rule per cell (exact for the
-products of linears that arise).  The nonlinear term is handled by the same
-damped fixed-point iteration as the mild solver, preconditioned by the
-stiffness matrix.  The stiffness solve is Gaussian elimination with its
-multipliers in closed form: two running sums, no factorization and no
-LAPACK.  A stack of noise paths, one per row, is solved row by row in one
-loop: every step is one stiffness solve along the last axis of the stack.
+products of linears that arise).  The nonlinear problem is solved in mild
+form, u + K_h f(., u) = A^-1 (load of g + noise), where the discrete Green's
+operator K_h is the stiffness solve A^-1 of the Gauss-rule load: the damped
+fixed-point iteration both solvers share (problem.damped_fixed_point), with
+K_h in place of the Green's-function quadrature it agrees with at the nodes.
+The stiffness solve is Gaussian elimination with its multipliers in closed
+form: two running sums, no factorization and no LAPACK.  A stack of noise
+paths, one per row, is solved row by row in one loop: every step is one
+stiffness solve along the last axis of the stack.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
-                    discrete_l2_error, gauss_values)
+                    discrete_l2_error)
 from .noise import IncrementPath, increments_on
-from .problem import ProblemSpec, damped_fixed_point
+from .problem import ProblemSpec, Solution, damped_fixed_point
 
 __all__ = [
-    "FemSolution",
     "Tridiagonal",
     "assemble_load",
     "assemble_stiffness",
@@ -67,25 +69,11 @@ class Tridiagonal:
         object.__setattr__(self, "_back", 1.0 / (ramp * (ramp + 1.0)))
         object.__setattr__(self, "_scale", ramp / self.grid.n)
 
-    @property
-    def _inv_h(self) -> float:
-        return 1.0 / self.grid.h
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.full(self.grid.n - 1, 2.0 * self._inv_h)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.full(self.grid.n - 2, -self._inv_h)
-
-    upper = lower
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        off = -self._inv_h
-        out = (2.0 * self._inv_h) * v
-        out[..., 1:] += off * v[..., :-1]
-        out[..., :-1] += off * v[..., 1:]
+        inv_h = 1.0 / self.grid.h
+        out = (2.0 * inv_h) * v
+        out[..., 1:] -= inv_h * v[..., :-1]
+        out[..., :-1] -= inv_h * v[..., 1:]
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -146,51 +134,35 @@ def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -
     return load
 
 
-def _with_boundary(interior: np.ndarray) -> np.ndarray:
-    """Nodal values from interior ones and zero boundary data, row by row."""
-    nodal = np.zeros(interior.shape[:-1] + (interior.shape[-1] + 2,))
-    nodal[..., 1:-1] = interior
-    return nodal
+def _with_boundary(interior: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Nodal values from interior ones and zero boundary data, row by row.
+
+    The result goes to `out` when it is given."""
+    if out is None:
+        out = np.empty(interior.shape[:-1] + (interior.shape[-1] + 2,))
+    out[..., 0] = out[..., -1] = 0.0
+    out[..., 1:-1] = interior
+    return out
 
 
-@dataclass(frozen=True)
-class FemSolution:
-    """Galerkin solution: nodal values, zero boundary data included.
+def _nodal_apply(grid: UniformGrid):
+    """The map from Gauss-point values of phi to the Galerkin K_h phi at the nodes.
 
-    For a stack of noise paths `values` holds one solution per row;
-    row_residuals and row_iterations hold every row's final residual and
-    iteration count (one entry for a single solve).
+    K_h phi is the FEM solution of -u'' = phi with phi's load taken by the
+    Gauss rule: the stiffness solve of that load, padded with the zero
+    boundary values.  In one dimension it agrees at the nodes with the
+    Green's-function quadrature of greens._nodal_apply.  A stack of rows
+    phi maps row by row, into `out` when it is given.
     """
+    stiffness = assemble_stiffness(grid)
 
-    grid: UniformGrid
-    values: np.ndarray
-    row_residuals: np.ndarray
-    row_iterations: np.ndarray
+    def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        return _with_boundary(stiffness.solve(_gauss_assemble(grid, phi)), out)
 
-    @property
-    def residual(self) -> float:
-        """Final residual; the largest over the rows of a stack."""
-        return float(self.row_residuals.max())
-
-    @property
-    def iterations(self) -> int:
-        """Iteration count; the sum over the rows of a stack."""
-        return int(self.row_iterations.sum())
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.values[..., 1:-1]
-
-    @property
-    def nodal_values(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.values, kind="nodal")
+    return apply
 
 
-def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> FemSolution:
+def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
     """Direct stiffness solve of the linear problem -u'' = load functional.
 
     The residual is the L2 norm of the correction A^-1 (load - A x), the
@@ -203,21 +175,22 @@ def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> FemSolution:
         raise FloatingPointError("stiffness solve produced non-finite values")
     correction = stiffness.solve(load - stiffness.matvec(interior))
     residuals = np.atleast_1d(GridFunction(grid, _with_boundary(correction)).l2_norm())
-    return FemSolution(grid, _with_boundary(interior), residuals,
-                       np.zeros(len(residuals), dtype=int))
+    return Solution(grid, _with_boundary(interior), residuals,
+                    np.zeros(len(residuals), dtype=int))
 
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
                         grid: UniformGrid = None, tol: float = 1e-10,
-                        max_iters: int = 500) -> FemSolution:
+                        max_iters: int = 500) -> Solution:
     """Galerkin solution of -u'' + f(x, u) = g + noise.
 
-    Damped stiffness-preconditioned fixed point (problem.damped_fixed_point):
-    each step solves the linear problem with the current reaction load and
-    relaxes by the reaction's step_size theta = min(1, 2/(2 + L)).  For
-    f = 0 the first step is the exact linear solve and the loop exits with
-    iterations = 1.  A stack of paths is solved row by row in one loop, each
-    row to exactly the result of its own solve.
+    The damped fixed point u <- u - theta (u + K_h f(., u) - A^-1 load) of
+    problem.damped_fixed_point, K_h the Galerkin Green's operator
+    (_nodal_apply) and theta the reaction's step_size min(1, 2/(2 + L)).
+    Each step is the linear solve with the current reaction load, relaxed
+    by theta.  For f = 0 the first step is the exact linear solve and the
+    loop exits with iterations = 1.  A stack of paths is solved row by row
+    in one loop, each row to exactly the result of its own solve.
 
     Args:
         problem: Hurst index, reaction, forcing.
@@ -225,29 +198,18 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             deterministic problem.
         grid: FEM mesh; defaults to the path's grid, and may be any
             refinement of it (the noise stays constant on its own cells).
-        tol: tolerance on the L2 norm of the step A^-1 (load - A u - reaction
-            load), the same rule as the Green's solver's.
+        tol: tolerance on the L2 norm of the step, the same rule as the
+            Green's solver's.
         max_iters: cap; NonConvergenceError beyond it.
     """
     if path is None and grid is None:
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
-    stiffness = assemble_stiffness(grid)
     load = assemble_load(grid, forcing=problem.forcing, path=path)
-    loads = np.atleast_2d(load)
-    gauss = grid.gauss_points()
-
-    def defect(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        reaction_load = _gauss_assemble(grid, problem.reaction(gauss, gauss_values(u)))
-        return loads[rows] - stiffness.matvec(u[:, 1:-1]) - reaction_load
-
-    u, residuals, iterations = damped_fixed_point(
-        defect, lambda d: _with_boundary(stiffness.solve(d)),
-        np.zeros((len(loads), grid.n + 1)), grid, problem.reaction.step_size,
-        tol, max_iters, "FEM fixed-point iteration")
-    return FemSolution(grid, u.reshape(load.shape[:-1] + (grid.n + 1,)),
-                       residuals, iterations)
+    rhs = _with_boundary(assemble_stiffness(grid).solve(load))
+    return damped_fixed_point(problem, grid, rhs, _nodal_apply(grid), tol, max_iters,
+                              "FEM fixed-point iteration")
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:

@@ -9,8 +9,9 @@ where (K phi)(x) = int_0^1 G(x, y) phi(y) dy and G(x, y) = min(x, y) - x y.
 G(x_node, .) is linear on every cell, so a two-point Gauss rule per cell
 integrates it exactly against anything piecewise linear: the forcing's
 interpolant, the reaction f(., u) of a nodal u, and the piecewise constant
-noise alike.  The nonlinear equation is solved by a damped fixed-point
-iteration whose step size follows from the coercivity of K.
+noise alike.  The nonlinear equation is solved by the damped fixed-point
+iteration both solvers share (problem.damped_fixed_point), whose step size
+follows from the coercivity of K; this module supplies K and K (g + noise).
 
 G is semiseparable, (K phi)(x) = (1 - x) int_0^x y phi + x int_x^1 (1 - y) phi,
 so the solver applies K at the nodes with two running sums over the cells:
@@ -21,16 +22,13 @@ taken along the last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import GridFunction, UniformGrid, gauss_values
+from .grids import UniformGrid
 from .noise import IncrementPath, increments_on, plinear_self_isometry
-from .problem import ProblemSpec, damped_fixed_point
+from .problem import ProblemSpec, Solution, damped_fixed_point
 
 __all__ = [
-    "MildSolution",
     "convolution_error_second_moment",
     "greens_cell_integrals",
     "greens_function",
@@ -151,38 +149,9 @@ def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
     return plinear_self_isometry(left, slopes, hurst)
 
 
-@dataclass(frozen=True)
-class MildSolution:
-    """Fixed point of the discretized Hammerstein equation at the grid nodes.
-
-    For a stack of noise paths `values` holds one solution per row;
-    row_residuals and row_iterations hold every row's final residual and
-    iteration count (one entry for a single solve).
-    """
-
-    grid: UniformGrid
-    values: np.ndarray
-    row_residuals: np.ndarray
-    row_iterations: np.ndarray
-
-    @property
-    def residual(self) -> float:
-        """Final residual; the largest over the rows of a stack."""
-        return float(self.row_residuals.max())
-
-    @property
-    def iterations(self) -> int:
-        """Iteration count; the sum over the rows of a stack."""
-        return int(self.row_iterations.sum())
-
-    @property
-    def grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.values, kind="nodal")
-
-
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
-                      max_iters: int = 500) -> MildSolution:
+                      max_iters: int = 500) -> Solution:
     """Solve u + K f(., u) = K g + K noise by damped fixed-point iteration.
 
     The step size theta = min(1, 2/(2 + L)) makes the iteration a
@@ -190,10 +159,9 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     coercivity constant 2 of K.  For f = 0 the first iterate is already
     exact and the loop exits immediately.  K is applied in O(n) per
     iteration (see _nodal_apply), so memory stays linear in the grid size.
-    A stack of paths is solved row by row in one loop, each row to exactly
-    the result of its own solve.  The Gauss values, running sums and
-    defects of the loop live in arrays set up once per call, so a step
-    does not return stack-sized blocks to the allocator.
+    A stack of paths is solved row by row in one loop
+    (problem.damped_fixed_point), each row to exactly the result of its own
+    solve.
 
     Args:
         problem: Hurst index, reaction, forcing.
@@ -205,35 +173,18 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         max_iters: iteration cap; NonConvergenceError beyond it.
 
     Returns:
-        MildSolution with nodal values, final residual, iteration count.
+        Solution with nodal values, final residual, iteration count.
     """
     if path is None and grid is None:
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
     apply_k = _nodal_apply(grid)
-    gauss = grid.gauss_points()
-    density = problem.forcing(gauss)
+    density = problem.forcing(grid.gauss_points())
     if path is not None:
         # the noise density is constant on each cell, so both Gauss points see it
         density = density + np.repeat(increments_on(path, grid) / grid.h, 2, axis=-1)
     rhs = apply_k(density)
-    rhs_rows = np.atleast_2d(rhs)
     del density  # (rows, 2n) values the loop does not need
-    # every step reuses these, the active rows being their leading rows
-    at_gauss = np.empty((len(rhs_rows), 2 * grid.n))
-    defects = np.empty_like(rhs_rows)
-
-    def defect(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        active = len(rows)
-        reaction = problem.reaction(gauss, gauss_values(u, out=at_gauss[:active]))
-        d = apply_k(reaction, out=defects[:active])
-        d += u  # u + K f(., u), summed in either order alike
-        d -= rhs_rows[rows]
-        return d
-
-    # u + theta * (-d) rounds exactly like u - theta * d, and -d has the norm of d
-    u, residuals, iterations = damped_fixed_point(
-        defect, np.negative, np.zeros_like(rhs_rows), grid,
-        problem.reaction.step_size, tol, max_iters, "fixed-point iteration")
-    return MildSolution(grid, u.reshape(rhs.shape), residuals, iterations)
+    return damped_fixed_point(problem, grid, rhs, apply_k, tol, max_iters,
+                              "fixed-point iteration")

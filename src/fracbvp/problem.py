@@ -5,6 +5,11 @@ condition (f(x,r) - f(x,s))(r - s) >= -L (r-s)^2 with L < 2, and linear
 growth |f(x,r) - f(x,s)| <= beta (1 + |r-s|).  The constant 2 is the
 coercivity constant of the Green's operator on (0, 1); both solvers are
 well posed exactly when L stays below it.
+
+Both solvers are one damped fixed-point iteration on the mild form
+u + K f(., u) = K (g + noise) at the grid nodes (damped_fixed_point), and
+return one Solution type; they differ only in the discrete Green's operator
+K they pass in, the Galerkin one or the Green's-function quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, UniformGrid
+from .grids import GridFunction, UniformGrid, gauss_values
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
@@ -25,6 +30,7 @@ __all__ = [
     "REACTIONS",
     "ProblemSpec",
     "ReactionTerm",
+    "Solution",
     "damped_fixed_point",
     "linear_reaction",
     "make_forcing",
@@ -38,40 +44,90 @@ __all__ = [
 COERCIVITY = 2.0
 
 
-def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
-                       grid: UniformGrid, theta: float, tol: float,
-                       max_iters: int, label: str) -> tuple:
-    """Iterate u <- u + theta * direction(defect(u)) on every row of the stack u0.
+@dataclass(frozen=True)
+class Solution:
+    """Nodal solution on a grid, zero boundary data included; either solver's result.
 
-    The loop of both solvers; one solve is a stack of one row.  The rows of
-    u0 are nodal values on `grid` with zero ends.  Only the rows still
-    iterating are worked on: defect(u, rows) gets their iterates and their
-    indices into u0, and direction maps a stack of defects row by row to a
-    new stack of nodal steps with zero ends.  A row stops at the first
-    iterate whose step has an exact L2 norm <= tol, a rule that does not
-    depend on the grid (the step of a contraction bounds the distance to
-    its fixed point), exactly as it would alone, and is frozen from then
-    on.  A defect is read only until its step is taken, so defect may hand
-    back storage it reuses on its next call; the loop scales the step by
-    theta in place before adding it, so a step allocates nothing more.
+    For a stack of noise paths `values` holds one solution per row;
+    row_residuals and row_iterations hold every row's final residual and
+    iteration count (one entry for a single solve).
+    """
 
-    Returns (u, residuals, iterations), the last two with one entry per row,
-    a residual being the L2 norm of the row's last step.  Raises ValueError
-    for a negative or NaN tol or a negative max_iters, and
-    NonConvergenceError for the first row still above tol after max_iters
-    steps.
+    grid: UniformGrid
+    values: np.ndarray
+    row_residuals: np.ndarray
+    row_iterations: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        """Final residual; the largest over the rows of a stack."""
+        return float(self.row_residuals.max())
+
+    @property
+    def iterations(self) -> int:
+        """Iteration count; the sum over the rows of a stack."""
+        return int(self.row_iterations.sum())
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self.values[..., 1:-1]
+
+    @property
+    def nodal_values(self) -> np.ndarray:
+        return self.values
+
+    @property
+    def grid_function(self) -> GridFunction:
+        return GridFunction(self.grid, self.values, kind="nodal")
+
+
+def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
+                       apply_k: Callable, tol: float, max_iters: int,
+                       label: str) -> Solution:
+    """Solve u + K f(., u) = rhs at the nodes by u <- u - theta (u + K f(., u) - rhs).
+
+    The one solver iteration; the two solvers differ only in their discrete
+    Green's operator K and right-hand side.  apply_k maps values at the
+    grid's Gauss points (a stack of rows) to nodal values with zero ends,
+    into `out` when it is given; rhs holds nodal rows with zero ends, one
+    per noise path (a 1-D rhs is a single solve).  theta is the reaction's
+    step_size, and every row starts from zero.  Only the rows still
+    iterating are worked on, in Gauss-value and defect buffers set up once
+    per call, their leading rows being the active ones.  A row stops at the
+    first iterate whose step has an exact L2 norm <= tol, a rule that does
+    not depend on the grid (the step of a contraction bounds the distance
+    to its fixed point), exactly as it would alone, and is frozen from then
+    on.
+
+    Returns the Solution, a residual being the L2 norm of the row's last
+    step.  Raises ValueError for a negative or NaN tol or a negative
+    max_iters, and NonConvergenceError for the first row still above tol
+    after max_iters steps.
     """
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be a number >= 0, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    u = np.array(u0, dtype=float)
+    rhs_rows = np.atleast_2d(rhs)
+    gauss = grid.gauss_points()
+    theta = problem.reaction.step_size
+    # the buffers before the iterates: allocated after them, they cost a
+    # Green's study 2.4 times the minor page faults per op
+    at_gauss = np.empty((len(rhs_rows), 2 * grid.n))
+    defects = np.empty_like(rhs_rows)
+    u = np.zeros_like(rhs_rows)
     rows = np.arange(len(u))
     residuals = np.full(len(u), math.inf)
     iterations = np.zeros(len(u), dtype=int)
     active = u  # iterates of the rows in `rows`
     for iteration in range(max_iters + 1):
-        step = direction(defect(active, rows))
+        # f(., u) at the Gauss points is freed as soon as K has mapped it
+        d = apply_k(problem.reaction(gauss, gauss_values(active, out=at_gauss[:len(rows)])),
+                    out=defects[:len(rows)])
+        d += active  # u + K f(., u), summed in either order alike
+        d -= rhs_rows[rows]
+        # u + theta * (-d) rounds exactly like u - theta * d, and -d has the norm of d
+        step = np.negative(d)
         residual = GridFunction(grid, step).l2_norm()
         residuals[rows] = residual
         iterations[rows] = iteration
@@ -80,7 +136,7 @@ def damped_fixed_point(defect: Callable, direction: Callable, u0: np.ndarray,
             u[rows] = active
             rows, active, step = rows[going], active[going], step[going]
             if not len(rows):
-                return u, residuals, iterations
+                return Solution(grid, u.reshape(np.shape(rhs)), residuals, iterations)
         if iteration < max_iters:
             step *= theta
             active += step

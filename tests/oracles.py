@@ -45,6 +45,17 @@ def gauss_weight_matrix(grid, points=None):
     return 0.5 * grid.h * greens_function(pts[:, None], grid.gauss_points()[None, :])
 
 
+def stiffness_bands(grid):
+    """The stiffness tridiag(-1, 2, -1)/h of the interior nodes in the banded
+    layout of scipy.linalg.solve_banded((1, 1), ...): upper, main and lower
+    diagonal in rows 0, 1 and 2, the unused corners zero."""
+    m, inv_h = grid.n - 1, 1.0 / grid.h
+    bands = np.zeros((3, m))
+    bands[0, 1:] = bands[2, :-1] = -inv_h
+    bands[1] = 2.0 * inv_h
+    return bands
+
+
 def fbm_cov(x, y, H):
     return 0.5 * (np.abs(x) ** (2 * H) + np.abs(y) ** (2 * H)
                   - np.abs(np.asarray(x) - np.asarray(y)) ** (2 * H))

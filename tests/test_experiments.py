@@ -68,7 +68,7 @@ class TestStudyConfig:
     def test_round_trip(self):
         config = StudyConfig(hurst=0.3, reaction="sin", forcing="one",
                              samples=50, seed=11, solver="both")
-        assert StudyConfig.from_dict(config.to_dict()) == config
+        assert StudyConfig(**config.to_dict()) == config
 
     @pytest.mark.parametrize("kwargs", [
         {"hurst": 0.7},
@@ -119,6 +119,16 @@ class TestConvergenceStudy:
         assert block["fitted_rate"] == pytest.approx(0.75, abs=0.25)
         assert rates[0] > rates[1] > rates[2]
         assert report.wall_time > 0.0
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                       reason="open defect: the damped step theta = 0.5 of sqrt-clip "
+                              "does not contract on this path (ROADMAP item 1)")
+    def test_sqrt_clip_coarse_level_converges(self):
+        # both solvers stall at sample m=36, level n=8, residual 3.596e-05;
+        # whoever fixes the stall removes the marker
+        config = StudyConfig(hurst=0.3, reaction="sqrt-clip", forcing="one", n0=8,
+                             levels=3, samples=40, seed=7, solver="both")
+        run_convergence_study(config)
 
     def test_both_solvers_reported(self):
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one",

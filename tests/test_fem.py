@@ -23,7 +23,7 @@ from fracbvp import (
 from fracbvp.errors import GridMismatchError, NonConvergenceError
 from fracbvp.fem import Tridiagonal
 
-from oracles import from_callable, sample_increments
+from oracles import from_callable, sample_increments, stiffness_bands
 
 
 class TestTridiagonal:
@@ -54,21 +54,13 @@ class TestTridiagonalSolve:
     """The stiffness solve is two running sums; scipy's solve_banded, a
     general LAPACK band solve, is its oracle."""
 
-    @staticmethod
-    def _banded(tri):
-        banded = np.zeros((3, len(tri.diag)))
-        banded[0, 1:] = tri.upper
-        banded[1, :] = tri.diag
-        banded[2, :-1] = tri.lower
-        return banded
-
     @pytest.mark.parametrize("m", [1, 2, 7, 511, 4095, 16383])
     def test_agrees_with_solve_banded(self, rng, m):
         stiffness = assemble_stiffness(UniformGrid(m + 1))
         rhs = rng.normal(size=m)
         before = rhs.copy()
         x = stiffness.solve(rhs)
-        oracle = solve_banded((1, 1), self._banded(stiffness), rhs)
+        oracle = solve_banded((1, 1), stiffness_bands(stiffness.grid), rhs)
         assert np.array_equal(rhs, before)
         # cond(A) grows like m^2; the drift stays far below that
         assert np.abs(x - oracle).max() <= 1e-14 * m * np.abs(oracle).max()
@@ -101,7 +93,7 @@ class TestTridiagonalSolve:
         stiffness = assemble_stiffness(UniformGrid(4))
         rhs = np.array([1e300, -1e300, 1e300])
         x = stiffness.solve(rhs)
-        oracle = solve_banded((1, 1), self._banded(stiffness), rhs)
+        oracle = solve_banded((1, 1), stiffness_bands(stiffness.grid), rhs)
         assert np.abs(x - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
     def test_shape_mismatch_rejected(self):
@@ -116,10 +108,11 @@ class TestAssembly:
     def test_stiffness_entries(self):
         grid = UniformGrid(4)
         A = assemble_stiffness(grid)
-        h = grid.h
-        assert np.allclose(A.diag, 2.0 / h)
-        assert np.allclose(A.lower, -1.0 / h)
-        assert np.allclose(A.upper, -1.0 / h)
+        bands = stiffness_bands(grid)
+        assert np.allclose(bands[1], 2.0 / grid.h)
+        assert np.allclose(bands[0, 1:], -1.0 / grid.h)
+        dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+        assert np.array_equal(A.matvec(np.eye(grid.n - 1)), dense)
 
     def test_stiffness_needs_interior_nodes(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from fracbvp import (
     solve_hammerstein,
     solve_nonlinear_fem,
 )
-from fracbvp import greens
+from fracbvp import fem, greens
 from fracbvp.errors import GridMismatchError, NonConvergenceError
 from fracbvp.noise import StepFunction
 
@@ -275,8 +275,10 @@ class TestHammersteinSolver:
 
 
 class TestHammersteinOperators:
-    """The solver applies K at the nodes with running sums over the cells;
-    the dense Gauss-weight matrix of the oracles is the reference."""
+    """The Green's solver applies K at the nodes with running sums over the
+    cells, the FEM solver by a stiffness solve of the Gauss-rule load; the
+    dense Gauss-weight matrix of the oracles is the reference for both, which
+    is the nodal equivalence that lets them share one iteration."""
 
     @staticmethod
     def _dense_apply(grid, phi, rows=512):
@@ -285,14 +287,26 @@ class TestHammersteinOperators:
         return np.concatenate([gauss_weight_matrix(grid, nodes[i:i + rows]) @ phi
                                for i in range(0, grid.n + 1, rows)])
 
-    @pytest.mark.parametrize("n", [1, 2, 16, 1024, 4096])
-    def test_apply_matches_dense_oracle(self, n):
+    @pytest.mark.parametrize("nodal_apply, n", [
+        *[pytest.param(greens._nodal_apply, n, id=str(n)) for n in (1, 2, 16, 1024, 4096)],
+        *[pytest.param(fem._nodal_apply, n, id=f"fem-{n}") for n in (2, 16, 1024, 4096)],
+    ])
+    def test_apply_matches_dense_oracle(self, nodal_apply, n):
         grid = UniformGrid(n)
+        apply = nodal_apply(grid)
         phi = np.random.default_rng(n).normal(size=2 * n)
         exact = self._dense_apply(grid, phi)
-        got = greens._nodal_apply(grid)(phi)
+        got = apply(phi)
         assert got.shape == (n + 1,)
         assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+        assert got[0] == got[-1] == 0.0
+        # a stack of rows maps row by row
+        stack = np.random.default_rng([n, 3]).normal(size=(3, 2 * n))
+        exact = self._dense_apply(grid, stack.T).T
+        got = apply(stack)
+        assert got.shape == (3, n + 1)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+        assert np.all(got[:, [0, -1]] == 0.0)
 
     def test_apply_matches_cell_integrals_on_a_fine_grid(self):
         # a per-cell constant phi integrates exactly against G(node, .)
