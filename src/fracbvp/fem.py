@@ -7,9 +7,10 @@ cell width over each cell it touches, so (noise, phi_j) reduces to averaged
 increments.  Smooth loads use a two-point Gauss rule per cell (exact for the
 products of linears that arise).  The nonlinear problem is solved in mild
 form, u + K_h f(., u) = A^-1 (load of g + noise), where the discrete Green's
-operator K_h is the stiffness solve A^-1 of the Gauss-rule load: the damped
-fixed-point iteration both solvers share (problem.damped_fixed_point), with
-K_h in place of the Green's-function quadrature it agrees with at the nodes.
+operator K_h is the stiffness solve A^-1 of the Gauss-rule load: the
+Anderson-accelerated fixed-point iteration both solvers share
+(problem.damped_fixed_point), with K_h in place of the Green's-function
+quadrature it agrees with at the nodes.
 The stiffness solve is Gaussian elimination with its multipliers in closed
 form: two running sums, no factorization and no LAPACK.  A stack of noise
 paths, one per row, is solved row by row in one loop: every step is one
@@ -76,16 +77,19 @@ class Tridiagonal:
         out[..., :-1] -= inv_h * v[..., 1:]
         return out
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
         """The stiffness solve by two running sums along the last axis.
 
-        ValueError on a non-finite right-hand side or one whose last axis
-        is not the interior nodes.  Running sums add in order along each
-        row, so a stack of rows solves bit for bit as each row alone."""
+        ValueError on a right-hand side whose last axis is not the interior
+        nodes, and on a non-finite one unless check_finite is False (a
+        non-finite entry then spreads along its row).  Running sums add in
+        order along each row, so a stack of rows solves bit for bit as each
+        row alone."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-1:] != self._ramp.shape:
             raise ValueError("right-hand side does not match the interior nodes")
-        _require_finite(rhs)
+        if check_finite:
+            _require_finite(rhs)
         z = self._ramp * rhs
         np.cumsum(z, axis=-1, out=z)
         z *= self._back
@@ -157,7 +161,10 @@ def _nodal_apply(grid: UniformGrid):
     stiffness = assemble_stiffness(grid)
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        return _with_boundary(stiffness.solve(_gauss_assemble(grid, phi)), out)
+        # unchecked: the fixed-point loop checks its right-hand side and
+        # every residual for non-finite values
+        return _with_boundary(stiffness.solve(_gauss_assemble(grid, phi), check_finite=False),
+                              out)
 
     return apply
 
@@ -184,13 +191,14 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
                         max_iters: int = 500) -> Solution:
     """Galerkin solution of -u'' + f(x, u) = g + noise.
 
-    The damped fixed point u <- u - theta (u + K_h f(., u) - A^-1 load) of
-    problem.damped_fixed_point, K_h the Galerkin Green's operator
-    (_nodal_apply) and theta the reaction's step_size min(1, 2/(2 + L)).
-    Each step is the linear solve with the current reaction load, relaxed
-    by theta.  For f = 0 the first step is the exact linear solve and the
-    loop exits with iterations = 1.  A stack of paths is solved row by row
-    in one loop, each row to exactly the result of its own solve.
+    The fixed point u + K_h f(., u) = A^-1 load of problem.damped_fixed_point,
+    K_h the Galerkin Green's operator (_nodal_apply): the damped step
+    u - theta (u + K_h f(., u) - A^-1 load), theta the reaction's step_size
+    min(1, 2/(2 + L)), Anderson-accelerated.  Each step is the linear solve
+    with the current reaction load.  For f = 0 the first step is the exact
+    linear solve and the loop exits with iterations = 1.  A stack of paths
+    is solved row by row in one loop, each row to exactly the result of its
+    own solve.  A non-finite noise path or forcing raises ValueError.
 
     Args:
         problem: Hurst index, reaction, forcing.
@@ -198,8 +206,8 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             deterministic problem.
         grid: FEM mesh; defaults to the path's grid, and may be any
             refinement of it (the noise stays constant on its own cells).
-        tol: tolerance on the L2 norm of the step, the same rule as the
-            Green's solver's.
+        tol: tolerance on the L2 norm of the residual u + K_h f(., u) -
+            A^-1 load, the same rule as the Green's solver's.
         max_iters: cap; NonConvergenceError beyond it.
     """
     if path is None and grid is None:
@@ -207,7 +215,8 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
     if grid is None:
         grid = path.grid
     load = assemble_load(grid, forcing=problem.forcing, path=path)
-    rhs = _with_boundary(assemble_stiffness(grid).solve(load))
+    # a non-finite load is reported by the loop, as the Green's solver's is
+    rhs = _with_boundary(assemble_stiffness(grid).solve(load, check_finite=False))
     return damped_fixed_point(problem, grid, rhs, _nodal_apply(grid), tol, max_iters,
                               "FEM fixed-point iteration")
 

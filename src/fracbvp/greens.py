@@ -9,9 +9,10 @@ where (K phi)(x) = int_0^1 G(x, y) phi(y) dy and G(x, y) = min(x, y) - x y.
 G(x_node, .) is linear on every cell, so a two-point Gauss rule per cell
 integrates it exactly against anything piecewise linear: the forcing's
 interpolant, the reaction f(., u) of a nodal u, and the piecewise constant
-noise alike.  The nonlinear equation is solved by the damped fixed-point
-iteration both solvers share (problem.damped_fixed_point), whose step size
-follows from the coercivity of K; this module supplies K and K (g + noise).
+noise alike.  The nonlinear equation is solved by the Anderson-accelerated
+fixed-point iteration both solvers share (problem.damped_fixed_point), whose
+damped step size follows from the coercivity of K; this module supplies K
+and K (g + noise).
 
 G is semiseparable, (K phi)(x) = (1 - x) int_0^x y phi + x int_x^1 (1 - y) phi,
 so the solver applies K at the nodes with two running sums over the cells:
@@ -152,12 +153,14 @@ def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
                       max_iters: int = 500) -> Solution:
-    """Solve u + K f(., u) = K g + K noise by damped fixed-point iteration.
+    """Solve u + K f(., u) = K g + K noise by Anderson-accelerated fixed-point iteration.
 
-    The step size theta = min(1, 2/(2 + L)) makes the iteration a
-    contraction whenever the reaction's constant L stays below the
-    coercivity constant 2 of K.  For f = 0 the first iterate is already
-    exact and the loop exits immediately.  K is applied in O(n) per
+    The damped step size theta = min(1, 2/(2 + L)) makes the plain
+    iteration a contraction whenever the reaction's constant L stays below
+    the coercivity constant 2 of K; the loop accelerates it (see
+    problem.damped_fixed_point).  For f = 0 the first iterate is already
+    exact and the loop exits immediately.  A non-finite noise path or
+    forcing raises ValueError.  K is applied in O(n) per
     iteration (see _nodal_apply), so memory stays linear in the grid size.
     A stack of paths is solved row by row in one loop
     (problem.damped_fixed_point), each row to exactly the result of its own
@@ -168,8 +171,8 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         path: noise increments on the solver grid or a coarser divisor, or
             a stack of them; None solves the deterministic problem.
         grid: solver grid; defaults to the path's grid.
-        tol: tolerance on the L2 norm of the step, the defect
-            K f(., u) + u - rhs itself; the same rule as the FEM solver's.
+        tol: tolerance on the L2 norm of the residual K f(., u) + u - rhs;
+            the same rule as the FEM solver's.
         max_iters: iteration cap; NonConvergenceError beyond it.
 
     Returns:

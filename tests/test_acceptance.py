@@ -128,7 +128,7 @@ class TestAcceptance:
             load = assemble_load(grid, forcing=lambda x: np.ones_like(x))
             solution = solve_linear_fem(grid, load)
             nodes = grid.nodes()
-            gap = float(np.abs(solution.nodal_values - nodes * (1 - nodes) / 2).max())
+            gap = float(np.abs(solution.values - nodes * (1 - nodes) / 2).max())
             worst = max(worst, gap)
         ok = worst < 1e-12
         _report(5, ok, f"-u''=1 nodal values x(1-x)/2 on n in {{2,17,128}}, "

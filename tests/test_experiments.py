@@ -120,12 +120,9 @@ class TestConvergenceStudy:
         assert rates[0] > rates[1] > rates[2]
         assert report.wall_time > 0.0
 
-    @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
-                       reason="open defect: the damped step theta = 0.5 of sqrt-clip "
-                              "does not contract on this path (ROADMAP item 1)")
     def test_sqrt_clip_coarse_level_converges(self):
-        # both solvers stall at sample m=36, level n=8, residual 3.596e-05;
-        # whoever fixes the stall removes the marker
+        # on sample m=36, level n=8 the plain damped step theta = 0.5 cycles
+        # at residual 3.596e-05 in both solvers
         config = StudyConfig(hurst=0.3, reaction="sqrt-clip", forcing="one", n0=8,
                              levels=3, samples=40, seed=7, solver="both")
         run_convergence_study(config)

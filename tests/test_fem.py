@@ -172,7 +172,7 @@ class TestLinearSolve:
         load = assemble_load(grid, forcing=lambda x: np.ones_like(x))
         solution = solve_linear_fem(grid, load)
         nodes = grid.nodes()
-        assert np.abs(solution.nodal_values - nodes * (1 - nodes) / 2).max() < 1e-12
+        assert np.abs(solution.values - nodes * (1 - nodes) / 2).max() < 1e-12
 
     def test_residual_reported(self, rng):
         grid = UniformGrid(16)
@@ -190,7 +190,7 @@ class TestNonlinearSolve:
         nl = solve_nonlinear_fem(problem, path)
         load = assemble_load(grid, forcing=problem.forcing, path=path)
         lin = solve_linear_fem(grid, load)
-        assert np.allclose(nl.nodal_values, lin.nodal_values, atol=1e-12)
+        assert np.allclose(nl.values, lin.values, atol=1e-12)
         assert nl.iterations <= 2
 
     def test_linear_reaction_vs_direct_solve(self, rng):
@@ -208,7 +208,7 @@ class TestNonlinearSolve:
         banded[2, :-1] = -1.0 / h + h / 6.0
         load = assemble_load(grid, forcing=problem.forcing)
         direct = solve_banded((1, 1), banded, load)
-        assert np.abs(solution.interior - direct).max() < 1e-11
+        assert np.abs(solution.values[1:-1] - direct).max() < 1e-11
 
     def test_sin_reaction_second_order_accurate(self):
         # smooth nonlinear problem: compare against a fine-grid reference
@@ -278,7 +278,7 @@ class TestNonlinearSolve:
             path = sample_increments(UniformGrid(n), 0.25, rng)
             fem = solve_nonlinear_fem(problem, path, tol=1e-12)
             mild = solve_hammerstein(problem, path, tol=1e-12)
-            gap = np.abs(fem.nodal_values - mild.values).max()
+            gap = np.abs(fem.values - mild.values).max()
             print(f"n={n}: max nodal gap {gap:.2e}")
             assert gap < 1e-10
 
@@ -289,7 +289,7 @@ class TestNonlinearSolve:
         path = sample_increments(UniformGrid(32), 0.25, rng)
         fem = solve_nonlinear_fem(problem, path)
         mild = solve_hammerstein(problem, path)
-        assert np.abs(fem.nodal_values - mild.values).max() < 1e-13
+        assert np.abs(fem.values - mild.values).max() < 1e-13
 
 
 class TestRitzProjection:

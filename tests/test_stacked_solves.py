@@ -127,3 +127,29 @@ def test_path_shape_is_checked():
         IncrementPath(grid, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         IncrementPath(grid, np.zeros((2, 2, 4)))
+
+
+def _study_stack(n, rows, seed=11):
+    """Seeded paths on n cells in a study's block shape, rows scaled apart so they stop at
+    different steps, some of them part way through filling the acceleration history."""
+    sampler = IncrementSampler(UniformGrid(n), 0.3, "davies-harte")
+    paths = sampler.sample_many(np.random.default_rng(seed), rows)
+    scales = np.resize([0.0, 1.0, 4.0, 0.25, 12.0, 1.0], rows)
+    return IncrementPath(UniformGrid(n), paths * scales[:, None])
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("n, rows", [(512, 32), (1024, 16)])
+@pytest.mark.parametrize("reaction", ["sin", "linear:1.5", "linear:-1.5", "sqrt-clip"])
+def test_study_sized_stack_equals_row_by_row_solves(solver, n, rows, reaction):
+    # the block shapes of studies with a reference of 512 and 1024 cells
+    solve = SOLVERS[solver]
+    problem = ProblemSpec.from_labels(0.3, reaction, "one")
+    stack = _study_stack(n, rows)
+    stacked = solve(problem, stack)
+    assert len(set(stacked.row_iterations.tolist())) > 2
+    for row, increments in enumerate(stack.increments):
+        alone = solve(problem, IncrementPath(stack.grid, increments))
+        assert np.array_equal(_values(stacked)[row], _values(alone))
+        assert stacked.row_iterations[row] == alone.iterations
+        assert stacked.row_residuals[row] == alone.residual
