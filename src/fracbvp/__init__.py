@@ -26,7 +26,6 @@ from .experiments import (
 from .fem import (
     Tridiagonal,
     assemble_load,
-    assemble_stiffness,
     ritz_projection,
     solve_linear_fem,
     solve_nonlinear_fem,

@@ -32,7 +32,6 @@ from .problem import ProblemSpec, Solution, damped_fixed_point
 __all__ = [
     "Tridiagonal",
     "assemble_load",
-    "assemble_stiffness",
     "discrete_h1_error",
     "discrete_l2_error",
     "ritz_projection",
@@ -99,11 +98,6 @@ class Tridiagonal:
         return x
 
 
-def assemble_stiffness(grid: UniformGrid) -> Tridiagonal:
-    """Stiffness matrix of -u'' on the interior nodes: tridiag(-1, 2, -1)/h."""
-    return Tridiagonal(grid)
-
-
 def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray) -> np.ndarray:
     """Interior load vector (v, phi_j) from values at the per-cell Gauss points."""
     t_lo, t_hi = GAUSS_OFFSETS
@@ -158,7 +152,7 @@ def _nodal_apply(grid: UniformGrid):
     Green's-function quadrature of greens._nodal_apply.  A stack of rows
     phi maps row by row, into `out` when it is given.
     """
-    stiffness = assemble_stiffness(grid)
+    stiffness = Tridiagonal(grid)
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         # unchecked: the fixed-point loop checks its right-hand side and
@@ -175,7 +169,7 @@ def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
     The residual is the L2 norm of the correction A^-1 (load - A x), the
     step the nonlinear solver would take next.
     """
-    stiffness = assemble_stiffness(grid)
+    stiffness = Tridiagonal(grid)
     load = np.asarray(load, dtype=float)
     interior = stiffness.solve(load)
     if not np.all(np.isfinite(interior)):
@@ -216,7 +210,7 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
         grid = path.grid
     load = assemble_load(grid, forcing=problem.forcing, path=path)
     # a non-finite load is reported by the loop, as the Green's solver's is
-    rhs = _with_boundary(assemble_stiffness(grid).solve(load, check_finite=False))
+    rhs = _with_boundary(Tridiagonal(grid).solve(load, check_finite=False))
     return damped_fixed_point(problem, grid, rhs, _nodal_apply(grid), tol, max_iters,
                               "FEM fixed-point iteration")
 
@@ -236,5 +230,5 @@ def ritz_projection(w, grid: UniformGrid) -> GridFunction:
     """
     values = np.asarray(w(grid.nodes()), dtype=float)
     rhs = (2.0 * values[..., 1:-1] - values[..., :-2] - values[..., 2:]) / grid.h
-    interior = assemble_stiffness(grid).solve(rhs)
+    interior = Tridiagonal(grid).solve(rhs)
     return GridFunction(grid, _with_boundary(interior), kind="nodal")

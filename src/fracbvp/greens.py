@@ -187,7 +187,10 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     if path is not None:
         # the noise density is constant on each cell, so both Gauss points see it
         density = density + np.repeat(increments_on(path, grid) / grid.h, 2, axis=-1)
-    rhs = apply_k(density)
+    # an inf in the density times a boundary node's zero weight is NaN; the
+    # loop reports the non-finite row, so numpy need not warn first
+    with np.errstate(invalid="ignore"):
+        rhs = apply_k(density)
     del density  # (rows, 2n) values the loop does not need
     return damped_fixed_point(problem, grid, rhs, apply_k, tol, max_iters,
                               "fixed-point iteration")

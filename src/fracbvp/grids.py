@@ -47,10 +47,6 @@ class UniformGrid:
         """All n+1 nodes including both endpoints; exact 0.0 and 1.0 ends."""
         return np.linspace(0.0, 1.0, self.n + 1)
 
-    def midpoints(self) -> np.ndarray:
-        nodes = self.nodes()
-        return 0.5 * (nodes[:-1] + nodes[1:])
-
     def gauss_points(self) -> np.ndarray:
         """All 2n Gauss points, cell-major: (i, 0) then (i, 1) for cell i."""
         left = self.nodes()[:-1]
@@ -130,23 +126,47 @@ class GridFunction:
 
     def l2_norm(self):
         """Exact L2 norm of the piecewise polynomial; one per row of a stack."""
-        h, v = self.grid.h, self.values
-        if self.kind == "cell":
-            return np.sqrt(h * _row_sums(v * v))
-        # int of a linear segment squared: h/3 (a^2 + a b + b^2)
-        a, b = v[..., :-1], v[..., 1:]
-        return np.sqrt(h / 3.0 * _row_sums(a * a + a * b + b * b))
+        return _linear_l2(self.grid.h, *_cell_ends(self, self.grid))
 
     def h1_seminorm(self):
         """Exact L2 norm of the derivative; defined for the nodal kind only."""
-        if self.kind != "nodal":
-            raise ValueError("piecewise constant functions have no H1 seminorm")
-        dv = np.diff(self.values, axis=-1)
-        return np.sqrt(_row_sums(dv * dv) / self.grid.h)
+        return _derivative(self).l2_norm()
 
     def h1_norm(self):
         norms = np.stack([self.l2_norm(), self.h1_seminorm()], axis=-1)
         return np.sqrt(_row_sums(norms * norms))
+
+
+def _linear_l2(h: float, a: np.ndarray, b: np.ndarray):
+    """Exact L2 norm of a function linear on each cell of width h; one per row.
+
+    a and b hold its one-sided values at the left and right end of every
+    cell, along the last axis; a linear segment squared integrates to
+    h/3 (a^2 + a b + b^2).
+    """
+    return np.sqrt(h / 3.0 * _row_sums(a * a + a * b + b * b))
+
+
+def _cell_ends(f: GridFunction, fine: UniformGrid):
+    """One-sided values of f at the left and right end of every cell of `fine`.
+
+    f's grid divides `fine`, so f is linear on every cell of it: a nodal f
+    on `fine` gives its values as they are, a nodal f on a coarser grid is
+    evaluated once, at the nodes of `fine`, and a cell f repeats each value
+    over the cells of `fine` it covers.
+    """
+    if f.kind == "cell":
+        values = np.repeat(f.values, fine.n // f.grid.n, axis=-1)
+        return values, values
+    values = f.values if f.grid == fine else f(fine.nodes())
+    return values[..., :-1], values[..., 1:]
+
+
+def _derivative(f: GridFunction) -> GridFunction:
+    """The piecewise constant derivative of a nodal grid function, row by row."""
+    if f.kind != "nodal":
+        raise ValueError("H1 quantities require nodal (piecewise linear) functions")
+    return GridFunction(f.grid, np.diff(f.values, axis=-1) / f.grid.h, kind="cell")
 
 
 def gauss_values(nodal: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -164,43 +184,16 @@ def gauss_values(nodal: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def _segment_samples(f: GridFunction, fine: UniformGrid):
-    """Left/mid/right values of f on each cell of `fine` (one-sided at jumps).
-
-    Requires f's grid to divide `fine`, so f is a polynomial on every fine
-    cell and cellwise Simpson on the difference of two such functions is
-    exact.
-    """
-    if not f.grid.divides(fine):
-        raise ValueError(
-            f"grid with {f.grid.n} cells does not divide the common "
-            f"refinement with {fine.n} cells"
-        )
-    if f.kind == "cell":
-        parent = np.arange(fine.n) // (fine.n // f.grid.n)
-        vals = f.values[..., parent]
-        return vals, vals, vals
-    nodes = fine.nodes()
-    # evaluated one at a time, so a stack holds one set of samples at once
-    return (f(x) for x in (nodes[:-1], fine.midpoints(), nodes[1:]))
-
-
 def discrete_l2_error(f: GridFunction, g: GridFunction):
     """Exact L2 distance between two grid functions, row by row for stacks.
 
-    The grids need not match; the difference is integrated on the least
-    common refinement, where it is polynomial of degree <= 1 per cell and
-    cellwise Simpson is exact.  A stack of functions gives one distance per
-    row.
+    The grids need not match; the difference is linear on every cell of
+    the least common refinement, and integrated there exactly.  A stack of
+    functions gives one distance per row.
     """
     fine = UniformGrid(math.lcm(f.grid.n, g.grid.n))
-    # Simpson weights 1, 4, 1 on the left ends, midpoints and right ends
-    cellwise = 0.0
-    for weight, fs, gs in zip((1.0, 4.0, 1.0), _segment_samples(f, fine),
-                              _segment_samples(g, fine)):
-        d = fs - gs
-        cellwise = cellwise + weight * d * d
-    return np.sqrt(np.maximum(fine.h / 6.0 * _row_sums(cellwise), 0.0))
+    (f_left, f_right), (g_left, g_right) = _cell_ends(f, fine), _cell_ends(g, fine)
+    return _linear_l2(fine.h, f_left - g_left, f_right - g_right)
 
 
 def discrete_h1_error(f: GridFunction, g: GridFunction):
@@ -208,13 +201,4 @@ def discrete_h1_error(f: GridFunction, g: GridFunction):
 
     Row by row for stacks, like discrete_l2_error.
     """
-    if f.kind != "nodal" or g.kind != "nodal":
-        raise ValueError("H1 distance requires nodal (piecewise linear) functions")
-    fine = UniformGrid(math.lcm(f.grid.n, g.grid.n))
-    slopes = []
-    for fn in (f, g):
-        factor = fine.n // fn.grid.n
-        s = np.repeat(np.diff(fn.values, axis=-1) / fn.grid.h, factor, axis=-1)
-        slopes.append(s)
-    ds = slopes[0] - slopes[1]
-    return np.sqrt(fine.h * _row_sums(ds * ds))
+    return discrete_l2_error(_derivative(f), _derivative(g))

@@ -118,10 +118,21 @@ def increment_covariance_matrix(grid: UniformGrid, hurst) -> np.ndarray:
     return windows[::-1].copy()
 
 
+# The dense covariance and its Cholesky factor take 8 n^2 bytes each; a grid
+# whose factor exceeds this budget (n > 4096) is refused before allocating.
+CHOLESKY_BYTES_BUDGET = 128 * 2**20
+
+
 # Factorizations are deterministic in (n, H), so the last four are cached per
-# process; the bound matters, as one Cholesky factor at n=8192 takes 512 MB.
+# process; the bound matters, as four factors at the budget take 512 MiB.
 @functools.lru_cache(maxsize=4)
 def _cholesky_factor(n: int, H: float) -> np.ndarray:
+    nbytes = 8 * n * n
+    if nbytes > CHOLESKY_BYTES_BUDGET:
+        raise ValueError(
+            f"Cholesky factor for n={n} takes {nbytes} bytes, over the budget of "
+            f"{CHOLESKY_BYTES_BUDGET} bytes; sample with method davies-harte instead"
+        )
     cov = increment_covariance_matrix(UniformGrid(n), HurstIndex(H))
     try:
         return np.linalg.cholesky(cov)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, UniformGrid, gauss_values
+from .grids import GridFunction, UniformGrid, _linear_l2, gauss_values
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
@@ -195,7 +195,7 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                     out=defects[:count])
         d += active
         d -= target
-        residual, last = GridFunction(grid, d).l2_norm(), residual
+        residual, last = _linear_l2(grid.h, d[:, :-1], d[:, 1:]), residual
         finite = np.isfinite(residual)
         if not finite.all():
             raise NonConvergenceError(

@@ -5,14 +5,17 @@ computed through the covariance function of the driving motion (integration
 by parts against R), with adaptive quadrature for the smooth pieces, and
 the Green's operator of a step density through exact cell integrals of G
 instead of the solver's Gauss weights.  The dense Gauss-weight matrix is the
-oracle for the solver's O(n) application of K.
+oracle for the solver's O(n) application of K, and cellwise Simpson the
+oracle for the exact per-cell L2 formula.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
 
-from fracbvp import (GridFunction, IncrementSampler, fbm_covariance, greens_cell_integrals,
-                     greens_function)
+from fracbvp import (GridFunction, IncrementSampler, UniformGrid, fbm_covariance,
+                     greens_cell_integrals, greens_function)
 
 
 def sample_increments(grid, hurst, rng, method="cholesky"):
@@ -32,7 +35,8 @@ def cumulative(path):
 
 def from_callable(grid, fn, kind="nodal"):
     """Grid function sampling fn at the nodes (nodal) or midpoints (cell)."""
-    points = grid.nodes() if kind == "nodal" else grid.midpoints()
+    nodes = grid.nodes()
+    points = nodes if kind == "nodal" else 0.5 * (nodes[:-1] + nodes[1:])
     return GridFunction(grid, np.asarray(fn(points), dtype=float), kind)
 
 
@@ -160,3 +164,43 @@ def stochastic_convolution(path, points=None):
         values = greens_cell_integrals(path.grid.nodes(), path.grid) @ density
         return GridFunction(path.grid, values, kind="nodal")
     return greens_cell_integrals(np.asarray(points, dtype=float), path.grid) @ density
+
+
+def simpson_l2_error(f, g):
+    """L2 distance of two grid functions (rows of stacks) by cellwise Simpson.
+
+    On their least common refinement the difference is linear per cell, so
+    Simpson's rule on its square, with both functions sampled at every
+    fine cell's left end, midpoint and right end (one-sided at jumps), is
+    exact.
+    """
+    fine = UniformGrid(math.lcm(f.grid.n, g.grid.n))
+    nodes = fine.nodes()
+    points = (nodes[:-1], 0.5 * (nodes[:-1] + nodes[1:]), nodes[1:])
+
+    def samples(fn):
+        if fn.kind == "cell":
+            return [np.repeat(fn.values, fine.n // fn.grid.n, axis=-1)] * 3
+        return [fn(x) for x in points]
+
+    cellwise = 0.0
+    for weight, fs, gs in zip((1.0, 4.0, 1.0), samples(f), samples(g)):
+        cellwise = cellwise + weight * (fs - gs) ** 2
+    return np.sqrt(fine.h / 6.0 * np.sum(cellwise, axis=-1))
+
+
+def slope_h1_seminorm(f):
+    """L2 norm of a nodal grid function's derivative from its slopes, row by row."""
+    dv = np.diff(f.values, axis=-1)
+    return np.sqrt(np.sum(dv * dv, axis=-1) / f.grid.h)
+
+
+def slope_h1_error(f, g):
+    """L2 distance of two nodal grid functions' derivatives, row by row.
+
+    Both slope sequences are repeated onto the least common refinement.
+    """
+    fine = UniformGrid(math.lcm(f.grid.n, g.grid.n))
+    slopes = [np.repeat(np.diff(fn.values, axis=-1) / fn.grid.h, fine.n // fn.grid.n, axis=-1)
+              for fn in (f, g)]
+    return np.sqrt(fine.h * np.sum((slopes[0] - slopes[1]) ** 2, axis=-1))

@@ -170,6 +170,11 @@ class TestSolve:
                                      "--f", "zero", "--out", str(tmp_path / "u.csv")])
         assert code == 0, err
 
+    def test_cholesky_over_budget_exits_usage(self, capsys):
+        code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "8192"])
+        assert code == 1
+        assert "invalid request" in err and "n=8192" in err and "davies-harte" in err
+
     def test_unreachable_tolerance_exits_numerical(self, capsys):
         code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "8",
                                      "--f", "sin", "--g", "one", "--seed", "2",

@@ -14,7 +14,6 @@ from fracbvp import (
     ProblemSpec,
     UniformGrid,
     assemble_load,
-    assemble_stiffness,
     ritz_projection,
     solve_hammerstein,
     solve_linear_fem,
@@ -31,7 +30,7 @@ class TestTridiagonal:
 
     def test_matvec_matches_dense(self, rng):
         grid = UniformGrid(8)
-        stiffness = assemble_stiffness(grid)
+        stiffness = Tridiagonal(grid)
         m = grid.n - 1
         dense = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / grid.h
         v = rng.normal(size=(3, m))
@@ -39,7 +38,7 @@ class TestTridiagonal:
         assert np.allclose(stiffness.matvec(v[0]), dense @ v[0])
 
     def test_solve_round_trip(self, rng):
-        stiffness = assemble_stiffness(UniformGrid(10))
+        stiffness = Tridiagonal(UniformGrid(10))
         b = rng.normal(size=9)
         x = stiffness.solve(b)
         assert np.allclose(stiffness.matvec(x), b, atol=1e-12)
@@ -47,7 +46,6 @@ class TestTridiagonal:
     def test_built_from_a_grid_only(self):
         with pytest.raises(TypeError):
             Tridiagonal(-np.ones(2), 4.0 * np.ones(3), -np.ones(2))
-        assert Tridiagonal(UniformGrid(4)) == assemble_stiffness(UniformGrid(4))
 
 
 class TestTridiagonalSolve:
@@ -56,7 +54,7 @@ class TestTridiagonalSolve:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 511, 4095, 16383])
     def test_agrees_with_solve_banded(self, rng, m):
-        stiffness = assemble_stiffness(UniformGrid(m + 1))
+        stiffness = Tridiagonal(UniformGrid(m + 1))
         rhs = rng.normal(size=m)
         before = rhs.copy()
         x = stiffness.solve(rhs)
@@ -72,14 +70,14 @@ class TestTridiagonalSolve:
     @pytest.mark.parametrize("m", [1, 2, 7, 511, 4095, 16383])
     def test_stiffness_solve_bit_identical(self, rng, m):
         # a stack of right-hand sides solves bit for bit as its rows alone
-        stiffness = assemble_stiffness(UniformGrid(m + 1))
+        stiffness = Tridiagonal(UniformGrid(m + 1))
         rhs = rng.normal(size=(5, m))
         assert np.array_equal(stiffness.solve(rhs),
                               np.stack([stiffness.solve(row) for row in rhs]))
 
     @pytest.mark.parametrize("m", [1, 7])
     def test_non_finite_input_rejected(self, m):
-        stiffness = assemble_stiffness(UniformGrid(m + 1))
+        stiffness = Tridiagonal(UniformGrid(m + 1))
         for bad in (np.nan, np.inf, -np.inf):
             rhs = np.ones((2, m))
             rhs[-1, -1] = bad
@@ -90,14 +88,14 @@ class TestTridiagonalSolve:
 
     def test_huge_finite_input_accepted(self):
         # squares overflow here, so the exact elementwise test must decide
-        stiffness = assemble_stiffness(UniformGrid(4))
+        stiffness = Tridiagonal(UniformGrid(4))
         rhs = np.array([1e300, -1e300, 1e300])
         x = stiffness.solve(rhs)
         oracle = solve_banded((1, 1), stiffness_bands(stiffness.grid), rhs)
         assert np.abs(x - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
     def test_shape_mismatch_rejected(self):
-        stiffness = assemble_stiffness(UniformGrid(2))
+        stiffness = Tridiagonal(UniformGrid(2))
         with pytest.raises(ValueError):
             stiffness.solve(np.ones(3))
         with pytest.raises(ValueError):
@@ -107,7 +105,7 @@ class TestTridiagonalSolve:
 class TestAssembly:
     def test_stiffness_entries(self):
         grid = UniformGrid(4)
-        A = assemble_stiffness(grid)
+        A = Tridiagonal(grid)
         bands = stiffness_bands(grid)
         assert np.allclose(bands[1], 2.0 / grid.h)
         assert np.allclose(bands[0, 1:], -1.0 / grid.h)
@@ -116,7 +114,7 @@ class TestAssembly:
 
     def test_stiffness_needs_interior_nodes(self):
         with pytest.raises(ValueError):
-            assemble_stiffness(UniformGrid(1))
+            Tridiagonal(UniformGrid(1))
 
     def test_constant_forcing_load(self):
         # (1, phi_j) = h exactly; the hat integrates to h

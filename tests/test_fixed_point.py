@@ -63,8 +63,6 @@ def _counting(reaction: ReactionTerm, calls: list) -> ReactionTerm:
                         reaction.lipschitz_constant, name=reaction.name)
 
 
-# K of an inf density multiplies inf by the zero weight of a boundary node
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", ["nan noise", "inf noise", "nan forcing"])
 def test_non_finite_data_fails_alike_before_any_step(bad):
     grid = UniformGrid(16)

@@ -20,7 +20,6 @@ class TestUniformGrid:
         assert grid.h == 0.25
         assert np.allclose(grid.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
         assert grid.nodes()[0] == 0.0 and grid.nodes()[-1] == 1.0
-        assert np.allclose(grid.midpoints(), [0.125, 0.375, 0.625, 0.875])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -68,8 +67,9 @@ class TestGridFunction:
         rng = np.random.default_rng([n, factor])
         values = rng.normal(size=(5, n + 1)) * np.array([1.0, 1e-8, 1e8, -3.0, 0.0])[:, None]
         f = GridFunction(grid, values)
-        for x in (fine.nodes(), fine.midpoints(), fine.nodes()[:-1], fine.nodes()[1:],
-                  np.array([0.0, 1.0]), 0.0, 1.0, np.float64(fine.midpoints()[0])):
+        midpoints = 0.5 * (fine.nodes()[:-1] + fine.nodes()[1:])
+        for x in (fine.nodes(), midpoints, fine.nodes()[:-1], fine.nodes()[1:],
+                  np.array([0.0, 1.0]), 0.0, 1.0, np.float64(midpoints[0])):
             expected = np.array([np.interp(x, grid.nodes(), row) for row in values])
             assert np.array_equal(f(x), expected)
             single = GridFunction(grid, values[0])(x)

@@ -6,6 +6,7 @@ quadrature), and Monte Carlo.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestSamplers:
                 IncrementSampler(UniformGrid(n), H, method)
         for factor in (noise_module._cholesky_factor, noise_module._circulant_scale):
             assert 1 <= factor.cache_info().currsize <= 4
+
+    def test_cholesky_over_budget_refused_before_allocating(self):
+        # 8 * 8192^2 bytes = 512 MiB for the factor alone, four times the budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n=8192 takes 536870912 bytes.*"
+                                                 r"budget of 134217728 bytes.*davies-harte"):
+                IncrementSampler(UniformGrid(8192), 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestAggregation:

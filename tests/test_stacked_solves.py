@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from fracbvp import (IncrementPath, IncrementSampler, ProblemSpec, UniformGrid,
-                     aggregate_increments, assemble_stiffness, discrete_h1_error,
-                     discrete_l2_error, ritz_projection, solve_hammerstein,
-                     solve_nonlinear_fem)
+                     aggregate_increments, discrete_h1_error, discrete_l2_error,
+                     ritz_projection, solve_hammerstein, solve_nonlinear_fem)
 from fracbvp.errors import NonConvergenceError
+from fracbvp.fem import Tridiagonal
 
 SOLVERS = {"fem": solve_nonlinear_fem, "greens": solve_hammerstein}
 
@@ -93,7 +93,7 @@ def test_both_solvers_take_the_same_iterations(n, reaction):
 
 def test_stacked_tridiagonal_solve_equals_single_solves(rng):
     m = 511
-    tri = assemble_stiffness(UniformGrid(m + 1))
+    tri = Tridiagonal(UniformGrid(m + 1))
     rhs = rng.normal(size=(7, m))
     x = tri.solve(rhs)
     assert np.array_equal(x, np.stack([tri.solve(row) for row in rhs]))
