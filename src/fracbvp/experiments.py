@@ -3,12 +3,14 @@
 Studies couple all discretization levels to one fine noise path per sample
 (coarse increments are exact sums of fine ones), estimate root-mean-square
 errors level by level, and fit algebraic rates by least squares in log-log
-coordinates.  Consecutive samples are solved together, as the rows of a
-block: every solver step works on the whole block.  Every study is
-reproducible: sample m always uses the generator seeded with [seed, m],
-each row of a block is computed exactly as it would be alone, and
+coordinates.  Consecutive samples are drawn together, as the rows of a
+chunk whose fine increments stay within a fixed byte budget; every grid then
+solves the chunk in blocks of rows sized by that grid, so each solver step
+works on a whole block, and the coarse grids solve many rows per call.
+Every study is reproducible: sample m always uses the generator seeded with
+[seed, m], each row of a block is computed exactly as it would be alone, and
 accumulation runs in sample order, so reports are byte-identical for any
---threads value and any block size.
+--threads value, chunk size and block size.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import NonConvergenceError
 from .fem import ritz_projection, solve_nonlinear_fem
 from .greens import convolution_error_second_moment, solve_hammerstein
-from .grids import UniformGrid, discrete_h1_error, discrete_l2_error
+from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
 from .noise import (
     HurstIndex,
     IncrementPath,
@@ -162,25 +164,68 @@ def _coupled_paths(ref_path: IncrementPath, level_ns) -> dict:
     return paths
 
 
-def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None, **options):
-    """solve_nonlinear_fem or solve_hammerstein; a stall names the solver and grid."""
-    solve = solve_nonlinear_fem if solver == "fem" else solve_hammerstein
-    try:
-        return solve(problem, path, grid=grid, **options)
-    except NonConvergenceError as exc:
-        n = (grid or path.grid).n
-        raise NonConvergenceError(f"{solver} solver, level n={n}: {exc}",
-                                  exc.residual, exc.iterations, exc.row) from exc
-
-
 # A block's largest array, (rows, 2 n) float64 values on a grid with n cells,
-# stays within this many bytes.
+# stays within this many bytes, and so do the solver loop's buffers of one row
+# length, whatever the grid.
 _BLOCK_BYTES = 256 * 1024
+# A chunk's fine increments, (rows, fine_n) float64 values, stay within this
+# many bytes: the chunk's solutions and coarse paths are of the same order, and
+# none of them grows with the number of samples.
+_CHUNK_BYTES = 1024 * 1024
 
 
-def _block_rows(fine_n: int) -> int:
-    """Samples solved together on a study whose paths are drawn with fine_n cells."""
-    return max(1, _BLOCK_BYTES // (16 * fine_n))
+def _block_rows(n: int) -> int:
+    """Rows solved together on a grid with n cells."""
+    return max(1, _BLOCK_BYTES // (16 * n))
+
+
+def _blocks(rows: int, n: int) -> list:
+    """Slices of _block_rows(n) consecutive rows (the last may be shorter) covering `rows` rows."""
+    step = _block_rows(n)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _chunk_rows(fine_n: int, level_ns) -> int:
+    """Samples drawn together on paths with fine_n cells coupled to level_ns.
+
+    As many as _CHUNK_BYTES of fine increments hold, but no more than the
+    coarsest level solves in one block, and at least one fine-grid block.
+    """
+    return max(_block_rows(fine_n),
+               min(_block_rows(min(level_ns)), _CHUNK_BYTES // (8 * fine_n)))
+
+
+def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
+           **options) -> GridFunction:
+    """Nodal solutions of a stack of paths by solve_nonlinear_fem or solve_hammerstein.
+
+    The rows are solved in blocks of _block_rows(n) rows, n the solver grid's
+    cells.  A stall names the solver and the grid, and carries its row in
+    the stack.
+    """
+    solve = solve_nonlinear_fem if solver == "fem" else solve_hammerstein
+    grid = grid or path.grid
+    values = np.empty((len(path.increments), grid.n + 1))
+    for block in _blocks(len(values), grid.n):
+        try:
+            values[block] = solve(problem, IncrementPath(path.grid, path.increments[block]),
+                                  grid=grid, **options).values
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(f"{solver} solver, level n={grid.n}: {exc}",
+                                      exc.residual, exc.iterations,
+                                      block.start + exc.row) from exc
+    return GridFunction(grid, values)
+
+
+def _by_blocks(measure: Callable, n: int, *functions: GridFunction) -> np.ndarray:
+    """measure(*functions) row by row, taken on _block_rows(n) rows at a time.
+
+    n is the finest grid the measure works on, so its temporaries stay as
+    small as a block's.
+    """
+    return np.concatenate([
+        measure(*(GridFunction(f.grid, f.values[block]) for f in functions))
+        for block in _blocks(len(functions[0].values), n)])
 
 
 def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: str,
@@ -188,23 +233,25 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
     """Per-sample statistics of coupled paths, stacked in sample order.
 
     Sample m draws one path on the grid with fine_n cells from its own
-    generator default_rng([seed, m]).  Consecutive samples form blocks of
-    _block_rows(fine_n) rows; a block is aggregated onto every level and
-    contributes the rows statistic(fine block, {n: level block}), one per
-    sample.  Every row is computed as it would be alone and blocks are
-    collected in index order, so the result depends neither on threads nor
-    on the block size.  A stall raises NonConvergenceError naming the seed,
-    the sample, the level and the solver.
+    generator default_rng([seed, m]).  Consecutive samples form chunks of
+    _chunk_rows(fine_n, level_ns) rows; a chunk is aggregated onto every
+    level and contributes the rows statistic(fine chunk, {n: level chunk}),
+    one per sample, which solves every grid n in blocks of _block_rows(n)
+    rows (_solve).  Every row is computed as it would be alone and chunks
+    are collected in index order, so the result depends neither on threads
+    nor on the chunk or block size.  A stall raises NonConvergenceError
+    naming the seed, the sample, the level and the solver.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
-    rows = _block_rows(fine_n)
+    rows = _chunk_rows(fine_n, level_ns)
 
     def worker(start: int) -> np.ndarray:
-        block = np.stack([sampler.sample(np.random.default_rng([seed, m])).increments
-                          for m in range(start, min(start + rows, samples))])
-        fine_path = IncrementPath(sampler.grid, block)
+        chunk = np.empty((min(rows, samples - start), fine_n))
+        for m, row in enumerate(chunk, start):
+            row[:] = sampler.sample(np.random.default_rng([seed, m])).increments
+        fine_path = IncrementPath(sampler.grid, chunk)
         try:
             return statistic(fine_path, _coupled_paths(fine_path, level_ns))
         except NonConvergenceError as exc:
@@ -261,10 +308,10 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     def squared_errors(ref_path: IncrementPath, paths: dict) -> np.ndarray:
         out = []
         for solver in solvers:
-            reference = _solve(solver, problem, ref_path, **options).grid_function
-            solutions = [_solve(solver, problem, paths[n], **options).grid_function
-                         for n in level_ns]
-            out.append(np.stack([np.square(discrete_l2_error(u, reference))
+            reference = _solve(solver, problem, ref_path, **options)
+            solutions = [_solve(solver, problem, paths[n], **options) for n in level_ns]
+            out.append(np.stack([np.square(_by_blocks(discrete_l2_error, ref_path.grid.n,
+                                                      u, reference))
                                  for u in solutions], axis=-1))
         return np.stack(out, axis=1)  # (rows, solvers, levels)
 
@@ -292,9 +339,9 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
     def h1_squared(fine_path: IncrementPath, paths: dict) -> np.ndarray:
-        solutions = [_solve(config.solver, problem, paths[n], **options).grid_function
-                     for n in level_ns]
-        return np.stack([np.square(u.h1_norm()) for u in solutions], axis=-1)
+        return np.stack([np.square(_by_blocks(GridFunction.h1_norm, n,
+                                              _solve(config.solver, problem, paths[n], **options)))
+                         for n in level_ns], axis=-1)
 
     rows = _coupled_samples(h1_squared, max(level_ns), level_ns, config.hurst,
                             config.sampler, config.samples, config.seed, threads)
@@ -329,11 +376,11 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
     def projection_gaps(fine_path: IncrementPath, paths: dict) -> np.ndarray:
         out = []
         for n in level_ns:
-            path = paths[n]
-            fem = _solve("fem", problem, path, **options)
-            proxy = _solve("fem", problem, path, grid=UniformGrid(2 * n), **options)
-            projected = ritz_projection(proxy.grid_function, path.grid)
-            out.append(np.square(discrete_h1_error(projected, fem.grid_function)))
+            fem = _solve("fem", problem, paths[n], **options)
+            proxy = _solve("fem", problem, paths[n], grid=UniformGrid(2 * n), **options)
+            gaps = _by_blocks(lambda w, u: discrete_h1_error(ritz_projection(w, u.grid), u),
+                              2 * n, proxy, fem)
+            out.append(np.square(gaps))
         return np.stack(out, axis=-1)
 
     rows = _coupled_samples(projection_gaps, max(level_ns), level_ns, config.hurst,
@@ -517,7 +564,7 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
         for n in level_ns:
             fem = _solve("fem", problem, paths[n], tol=tol)
             mild = _solve("greens", problem, paths[n], tol=tol)
-            out.append(np.square(discrete_l2_error(fem.grid_function, mild.grid_function)))
+            out.append(np.square(_by_blocks(discrete_l2_error, n, fem, mild)))
         return np.stack(out, axis=-1)
 
     rows = _coupled_samples(squared_gaps, max(level_ns), level_ns, hurst, "cholesky",

@@ -123,9 +123,10 @@ def increment_covariance_matrix(grid: UniformGrid, hurst) -> np.ndarray:
 CHOLESKY_BYTES_BUDGET = 128 * 2**20
 
 
-# Factorizations are deterministic in (n, H), so the last four are cached per
-# process; the bound matters, as four factors at the budget take 512 MiB.
-@functools.lru_cache(maxsize=4)
+# Factorizations are deterministic in (n, H), so the last one is cached per
+# process: a study draws from one grid, and the cache then holds no more bytes
+# than the budget, where four factors at the budget would take 512 MiB.
+@functools.lru_cache(maxsize=1)
 def _cholesky_factor(n: int, H: float) -> np.ndarray:
     nbytes = 8 * n * n
     if nbytes > CHOLESKY_BYTES_BUDGET:

@@ -2,6 +2,8 @@
 
 import json
 import sys
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -24,9 +26,11 @@ from fracbvp import (
     verify_solver_agreement,
 )
 from fracbvp import experiments
+from fracbvp import fem as fem_module
 from fracbvp.errors import NonConvergenceError
 from fracbvp.experiments import _coupled_paths, kernel_pair_sum_quadrature
 from fracbvp.noise import StepFunction, singular_kernel_pair_sum
+from fracbvp.problem import damped_fixed_point
 
 
 class TestEstimateRate:
@@ -290,6 +294,67 @@ class TestBlocks:
                                          samples=5, seed=77, threads=1)
         assert str(excinfo.value) == "seed 77, sample m=3, stalled"
         assert blocks == [2, 2]
+
+    @pytest.mark.parametrize("solver", ["fem", "greens"])
+    def test_stall_in_a_later_block_of_a_coarse_level_names_its_sample(self, monkeypatch,
+                                                                        solver):
+        # chunks of four samples; level n=4 solves them two rows at a time
+        monkeypatch.setattr(experiments, "_block_rows", lambda n: 2 if n == 4 else 4)
+        name = "solve_nonlinear_fem" if solver == "fem" else "solve_hammerstein"
+        solve, calls = getattr(experiments, name), []
+
+        def stalling(problem, path, grid=None, **options):
+            if path.grid.n == 4:
+                calls.append(len(path.increments))
+                if len(calls) == 4:  # the second chunk's second block
+                    raise NonConvergenceError("stalled", residual=1.0, iterations=9, row=1)
+            return solve(problem, path, grid=grid, **options)
+
+        monkeypatch.setattr(experiments, name, stalling)
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=2,
+                             ref_extra=1, samples=10, seed=31, solver=solver)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            run_convergence_study(config)
+        # sample 4 + 2 + 1: chunk start, block offset, row in the block
+        assert str(excinfo.value) == f"seed 31, sample m=7, {solver} solver, level n=4: stalled"
+        assert calls == [2, 2, 2, 2]
+
+    def test_each_grid_solves_blocks_sized_by_itself(self, monkeypatch):
+        rows = defaultdict(list)
+
+        def spy(problem, grid, rhs, *args):
+            rows[grid.n].append(len(rhs))
+            return damped_fixed_point(problem, grid, rhs, *args)
+
+        monkeypatch.setattr(fem_module, "damped_fixed_point", spy)
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                             ref_extra=2, samples=200, seed=2024, solver="fem")
+        run_convergence_study(config)
+        assert sorted(rows) == [16, 32, 64, 128, 512]
+        for n, counts in rows.items():
+            assert max(counts) <= experiments._block_rows(n), n
+            assert sum(counts) == config.samples, n
+        # the coarse levels solve every sample in one call, the reference in blocks
+        assert rows[16] == rows[32] == rows[64] == [config.samples]
+        assert rows[128] == [128, 72]
+        assert rows[512] == [32] * 6 + [8]
+
+    def test_study_memory_does_not_grow_with_the_sample_count(self):
+        base = dict(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=2, ref_extra=5,
+                    solver="greens", sampler="davies-harte", seed=8)
+        fine_n = StudyConfig(**base).reference_n
+        chunk = experiments._chunk_rows(fine_n, StudyConfig(**base).level_ns())
+        run_convergence_study(StudyConfig(**base, samples=2))  # set-up caches
+        peaks = {}
+        for samples in (300, 900):
+            assert samples > chunk
+            tracemalloc.start()
+            try:
+                run_convergence_study(StudyConfig(**base, samples=samples))
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[900] <= 1.1 * peaks[300], peaks
 
 
 class TestVerificationChecks:

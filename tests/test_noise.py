@@ -150,6 +150,17 @@ class TestSamplers:
         for factor in (noise_module._cholesky_factor, noise_module._circulant_scale):
             assert 1 <= factor.cache_info().currsize <= 4
 
+    def test_cached_cholesky_factors_stay_within_the_budget(self, monkeypatch):
+        # with a budget of one n=32 factor, any two cached factors exceed it
+        monkeypatch.setattr(noise_module, "CHOLESKY_BYTES_BUDGET", 8 * 32 * 32)
+        noise_module._cholesky_factor.cache_clear()
+        for n in (32, 16, 24, 32):
+            IncrementSampler(UniformGrid(n), 0.25)
+            assert noise_module._cholesky_factor.cache_info().currsize == 1
+        with pytest.raises(ValueError, match="n=33 takes 8712 bytes"):
+            IncrementSampler(UniformGrid(33), 0.25)
+        assert noise_module._cholesky_factor.cache_info().currsize == 1
+
     def test_cholesky_over_budget_refused_before_allocating(self):
         # 8 * 8192^2 bytes = 512 MiB for the factor alone, four times the budget
         tracemalloc.start()
