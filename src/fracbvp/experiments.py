@@ -234,18 +234,21 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
 
     Sample m draws one path on the grid with fine_n cells from its own
     generator default_rng([seed, m]).  Consecutive samples form chunks of
-    _chunk_rows(fine_n, level_ns) rows; a chunk is aggregated onto every
-    level and contributes the rows statistic(fine chunk, {n: level chunk}),
-    one per sample, which solves every grid n in blocks of _block_rows(n)
-    rows (_solve).  Every row is computed as it would be alone and chunks
-    are collected in index order, so the result depends neither on threads
-    nor on the chunk or block size.  A stall raises NonConvergenceError
-    naming the seed, the sample, the level and the solver.
+    _chunk_rows(fine_n, level_ns) rows, or of fewer, down to one fine-grid
+    block, so that every thread gets a chunk; a chunk is aggregated onto
+    every level and contributes the rows statistic(fine chunk,
+    {n: level chunk}), one per sample, which solves every grid n in blocks
+    of _block_rows(n) rows (_solve).  Every row is computed as it would be
+    alone and chunks are collected in index order, so the result depends
+    neither on threads nor on the chunk or block size.  A stall raises
+    NonConvergenceError naming the seed, the sample, the level and the
+    solver.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
-    rows = _chunk_rows(fine_n, level_ns)
+    rows = min(_chunk_rows(fine_n, level_ns),
+               max(_block_rows(fine_n), -(-samples // threads)))
 
     def worker(start: int) -> np.ndarray:
         chunk = np.empty((min(rows, samples - start), fine_n))

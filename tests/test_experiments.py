@@ -339,6 +339,22 @@ class TestBlocks:
         assert rows[128] == [128, 72]
         assert rows[512] == [32] * 6 + [8]
 
+    @pytest.mark.parametrize("threads, chunks", [(1, [200]), (4, [50] * 4),
+                                                 (8, [32] * 6 + [8])])
+    def test_every_thread_gets_a_chunk(self, monkeypatch, threads, chunks):
+        rows, coupled_paths = [], experiments._coupled_paths
+
+        def spy(ref_path, level_ns):
+            rows.append(len(ref_path.increments))
+            return coupled_paths(ref_path, level_ns)
+
+        monkeypatch.setattr(experiments, "_coupled_paths", spy)
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                             ref_extra=2, samples=200, seed=2024, solver="fem")
+        run_convergence_study(config, threads)
+        # no smaller than one reference block, and as many as the threads allow
+        assert sorted(rows, reverse=True) == chunks
+
     def test_study_memory_does_not_grow_with_the_sample_count(self):
         base = dict(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=2, ref_extra=5,
                     solver="greens", sampler="davies-harte", seed=8)
