@@ -60,14 +60,21 @@ class UniformGrid:
         return finer.n % self.n == 0
 
 
-def _row_sums(values: np.ndarray):
-    """np.sum of one function's values, or of each row of a stack.
+# einsum reduces in buffers of 8192 elements and may split a stack's rows
+# otherwise than a row alone; so may it sum a strided last axis.
+_DOT_BLOCK = 8192
 
-    A last-axis sum of a C-contiguous stack rounds every row exactly as the
-    1-D np.sum of that row; a strided last axis may be summed in another
-    order, so the stack is made contiguous first.
+
+def _row_dot(a: np.ndarray, b: np.ndarray):
+    """Dot product along the last axis, one per row of a (broadcast) stack.
+
+    Taken by einsum's own loops (no BLAS) in blocks of _DOT_BLOCK added in
+    order, a strided last axis made contiguous, so each row rounds as alone.
     """
-    return np.sum(np.ascontiguousarray(values), axis=-1)
+    a, b = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x) for x in (a, b))
+    dots = [np.einsum("...i,...i->...", a[..., k:k + _DOT_BLOCK], b[..., k:k + _DOT_BLOCK])
+            for k in range(0, a.shape[-1], _DOT_BLOCK)]
+    return sum(dots[1:], dots[0])
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class GridFunction:
 
     def h1_norm(self):
         norms = np.stack([self.l2_norm(), self.h1_seminorm()], axis=-1)
-        return np.sqrt(_row_sums(norms * norms))
+        return np.sqrt(_row_dot(norms, norms))
 
 
 def _linear_l2(h: float, a: np.ndarray, b: np.ndarray):
@@ -142,9 +149,9 @@ def _linear_l2(h: float, a: np.ndarray, b: np.ndarray):
 
     a and b hold its one-sided values at the left and right end of every
     cell, along the last axis; a linear segment squared integrates to
-    h/3 (a^2 + a b + b^2).
+    h/3 (a^2 + a b + b^2), summed as the three row dots a.a + a.b + b.b.
     """
-    return np.sqrt(h / 3.0 * _row_sums(a * a + a * b + b * b))
+    return np.sqrt(h / 3.0 * (_row_dot(a, a) + _row_dot(a, b) + _row_dot(b, b)))
 
 
 def _cell_ends(f: GridFunction, fine: UniformGrid):

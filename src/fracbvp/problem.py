@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, UniformGrid, _linear_l2, gauss_values
+from .grids import GridFunction, UniformGrid, _linear_l2, _row_dot, gauss_values
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
@@ -142,8 +142,8 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     call, their leading rows being the active ones.  A row stops at the
     first iterate whose residual has an exact L2 norm <= tol, a rule that
     does not depend on the grid, exactly as it would alone, and is frozen
-    from then on.  Each row's arithmetic is elementwise or a sum along its
-    own last axis, so every row of a stack solves bit for bit as alone.
+    from then on.  Each row's arithmetic is elementwise or a dot product along
+    its own last axis, so every row of a stack solves bit for bit as alone.
 
     Returns the Solution, a residual being the L2 norm of the row's last
     residual f.  Raises ValueError for a negative or NaN tol, a negative
@@ -166,13 +166,13 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     size, width = rhs_rows.shape
     # Slot j % depth of a history holds the differences between iterates j
     # and j + 1: filled with iterate j's terms at step j, completed at step
-    # j + 1, overwritten at step j + depth.  The histories,
-    # the scratch buffer (Gauss values, consumed by K, and then the products
-    # of the Gram update) and the defects are one allocation, made before
+    # j + 1, overwritten at step j + depth.  The histories, the scratch
+    # buffer (Gauss values, consumed by K, then -theta f and the history's
+    # combination) and the defects are one allocation, made before
     # the iterates: as separate arrays, freed and regrown on every solve,
     # they cost a Green's study some 50 times the minor page faults per op.
     history = size * depth * width
-    spare = size * max(depth * width, 2 * grid.n)
+    spare = size * max(width, 2 * grid.n)
     work = np.zeros(2 * history + spare + size * width)
     f_history = work[:history].reshape(size, depth, width)  # differences of the residuals f
     # differences of the damped iterates u + theta f
@@ -216,20 +216,17 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                 return Solution(grid, u.reshape(np.shape(rhs)), residuals, iterations)
         if iteration == max_iters:
             break
-        pairs = scratch[:count * depth * width].reshape(count, depth, width)
         df, dg = f_history[:count], g_history[:count]
         newest, oldest = (iteration - 1) % depth, iteration % depth
-        damped = np.multiply(d, theta, out=pairs[:, 0])  # -theta f
-        active -= damped  # the damped step u + theta f
+        damped = np.multiply(d, theta, out=scratch[:count * width].reshape(count, width))
+        active -= damped  # damped is -theta f: the damped step u + theta f
         if iteration:
             df[:, newest] -= d
             dg[:, newest] -= damped
             # the newest slot's Gram entries and the right sides df . d, as
-            # sums along each row's last axis
-            np.multiply(df, df[:, newest, None], out=pairs)
-            gram[newest] = gram[:, newest] = np.add.reduce(pairs, axis=-1).T
-            np.multiply(df, d[:, None], out=pairs)
-            gamma, collapsed, full = _solve_gram(gram, np.add.reduce(pairs, axis=-1).T)
+            # dot products along each row's last axis
+            gram[newest] = gram[:, newest] = _row_dot(df, df[:, newest, None]).T
+            gamma, collapsed, full = _solve_gram(gram, _row_dot(df, d[:, None]).T)
             # a full history whose step let the residual grow restarts; a row
             # still refilling its history after a restart does not, or the
             # plain damped steps it takes could cycle (sqrt-clip's do)
@@ -237,13 +234,9 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
             if restart.any():
                 gamma[:, restart] = gram[..., restart] = 0.0
                 df[restart] = dg[restart] = 0.0
-            # the combination of the history corrects the damped step, and
-            # goes to the oldest slot, which no longer takes part
-            np.multiply(dg, gamma.T[:, :, None], out=pairs)
-            step = dg[:, oldest]
-            np.copyto(step, pairs[:, 0])
-            for j in range(1, depth):
-                step += pairs[:, j]
+            # the history's combination corrects the damped step; formed in the
+            # scratch, as the oldest slot is one of its terms, it then takes that slot
+            step = dg[:, oldest] = np.einsum("rji,jr->ri", dg, gamma, out=damped)
             active += step
         df[:, oldest] = d
     residuals[rows] = residual

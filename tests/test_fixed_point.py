@@ -172,11 +172,11 @@ class TestGramSolve:
 @pytest.mark.parametrize("reaction", ["zero", "sin", "sqrt-clip", "linear:-1.5", "linear:1.5"])
 def test_loop_memory_stays_within_its_buffers(solver, reaction):
     # a unit is one (rows, n + 1) float64 array; the loop owns two histories
-    # and a scratch buffer of ANDERSON_DEPTH units each, its defects and its
-    # iterates.  On top come the temporaries of the reaction and of K (a few
-    # Gauss-point arrays of 2 units) and the copies a compaction makes; a
-    # history that grew with the steps, or an array kept from every step,
-    # breaks the bound
+    # of ANDERSON_DEPTH units each, a scratch buffer of 2 units (the Gauss
+    # values), its defects and its iterates.  On top come the temporaries of
+    # the reaction and of K (a few Gauss-point arrays of 2 units) and the
+    # copies a compaction makes; a history that grew with the steps, or an
+    # array kept from every step, breaks the bound
     rows, n = 32, 512
     grid = UniformGrid(n)
     sampler = IncrementSampler(grid, 0.25, "davies-harte")
@@ -185,7 +185,7 @@ def test_loop_memory_stays_within_its_buffers(solver, reaction):
     rhs = greens._nodal_apply(grid)(np.repeat(increments / grid.h, 2, axis=-1) + 1.0)
     apply_k = (fem if solver == "fem" else greens)._nodal_apply(grid)
     unit = rows * (n + 1) * 8
-    owned = 3 * problem.ANDERSON_DEPTH + 2
+    owned = 2 * problem.ANDERSON_DEPTH + 4
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

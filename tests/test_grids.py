@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracbvp import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
-from fracbvp.grids import _row_sums, gauss_values
+from fracbvp.grids import _linear_l2, _row_dot, gauss_values
 
 from oracles import from_callable
 
@@ -117,15 +117,44 @@ class TestGridFunction:
         assert f.l2_norm() ** 2 == pytest.approx(expected, abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [1, 7, 48, 513, 4097])
-def test_row_sums_round_each_row_as_its_own_sum(n):
-    # norms of a stack must equal the norms of its rows alone; numpy sums a
-    # strided last axis in another order than a contiguous row
-    rows = np.random.default_rng(n).normal(size=(6, n)) * 10.0 ** np.arange(-3, 3)[:, None]
-    f_ordered = np.asfortranarray(rows)
-    strided = np.asfortranarray(np.repeat(rows, 2, axis=0))[::2]  # strides (16, 96)
-    for stack in (f_ordered, strided):
-        assert _row_sums(stack).tolist() == [np.sum(row) for row in rows]
+ROW_DOT_WIDTHS = [1, 2, 3, 513, 1025, *np.random.default_rng(14).integers(4, 2101, 6).tolist(),
+                  8193, 16385]
+
+
+@pytest.mark.parametrize("width", ROW_DOT_WIDTHS)
+def test_row_dot_rounds_each_row_as_its_own_dot(width):
+    # norms of a stack must equal the norms of its rows alone, wherever the
+    # rows lie in memory: numpy may sum a strided last axis in another order,
+    # and split a row longer than its 8192-element buffer otherwise
+    rng = np.random.default_rng(width)
+    rows = rng.normal(size=(6, width)) * 10.0 ** np.arange(-3, 3)[:, None]
+    others = rng.normal(size=(6, width))
+    alone = [float(_row_dot(row.copy(), other.copy())) for row, other in zip(rows, others)]
+    stride = width + 2 - width % 2  # even, so every row starts at an odd 8-byte offset
+    shared = np.zeros(6 * stride + 1)
+    offset = shared[1:].reshape(6, stride)[:, :width]
+    offset[:] = rows
+    layouts = (offset, np.asfortranarray(rows), np.repeat(rows, 2, axis=-1)[:, ::2],
+               np.asfortranarray(np.repeat(rows, 2, axis=0))[::2])
+    for stack in layouts:
+        assert _row_dot(stack, others).tolist() == alone
+        assert _row_dot(others, stack).tolist() == alone
+    # the Gram form of the solver loop: every history row against one of them
+    history = np.stack([rows, others, rows * others], axis=1)  # (rows, depth, width)
+    gram = _row_dot(history, history[:, 1, None])
+    assert gram.tolist() == [[float(_row_dot(h.copy(), r[1].copy())) for h in r]
+                             for r in history]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1025])
+def test_linear_l2_matches_an_exactly_rounded_sum(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, 4, n)) * 10.0 ** np.arange(-2, 2)[:, None]
+    h = 1.0 / n
+    norms = _linear_l2(h, a, b)
+    for row_a, row_b, norm in zip(a, b, norms):
+        terms = [x * x + x * y + y * y for x, y in zip(row_a, row_b)]
+        assert norm == pytest.approx(math.sqrt(h / 3.0 * math.fsum(terms)), rel=1e-14, abs=0.0)
 
 
 class TestErrors:

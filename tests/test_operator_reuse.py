@@ -11,9 +11,9 @@ import sys
 
 import pytest
 
-from fracbvp import (StudyConfig, run_convergence_study, run_h1_blowup_study,
+from fracbvp import (StudyConfig, experiments, run_convergence_study, run_h1_blowup_study,
                      verify_solver_agreement)
-from fracbvp.experiments import _block_rows
+from fracbvp.experiments import _block_rows, _chunk_rows
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +25,14 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # blocks of 4 rows on 4 cells, 2 on 8 and 1 on 16, and chunks of 2 rows
+    # for a fine grid of 16 cells, so a few samples span several of each
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 16)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 8 * 16 * 2)
 
 
 def _traced(tracing, run):
@@ -42,8 +50,11 @@ def _span_count(tracer, name):
     return sum(1 for span in tracer.spans if span[0] == name and span[4] == 1)
 
 
-def _blocks(samples, fine_n):
-    return -(-samples // _block_rows(fine_n))
+def _solves(samples, fine_n, grids):
+    """Solves of a single-thread study: per chunk, ceil(chunk / _block_rows(n)) on every grid n."""
+    rows = min(_chunk_rows(fine_n, grids), max(_block_rows(fine_n), samples))
+    chunks = [min(rows, samples - start) for start in range(0, samples, rows)]
+    return sum(-(-chunk // _block_rows(n)) for chunk in chunks for n in grids)
 
 
 def _assert_no_kernel_matrix(tracer):
@@ -52,26 +63,27 @@ def _assert_no_kernel_matrix(tracer):
     assert _span_count(tracer, "greens.kernel") == 0
 
 
-def test_greens_study_builds_no_kernel_matrix(tracing):
+def test_greens_study_builds_no_kernel_matrix(tracing, small_blocks):
     config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=2,
-                         ref_extra=1, samples=3, seed=5, solver="greens")
+                         ref_extra=1, samples=5, seed=5, solver="greens")
     grids = config.level_ns() + [config.reference_n]
     tracer = _traced(tracing, lambda: run_convergence_study(config))
-    blocks = _blocks(config.samples, config.reference_n)
-    assert tracer.counts[(1, "greens.solves")] == blocks * len(grids)
+    assert tracer.counts[(1, "greens.solves")] == _solves(config.samples, config.reference_n,
+                                                          grids)
     _assert_no_kernel_matrix(tracer)
 
 
-def test_h1_study_and_solver_agreement_build_no_kernel_matrix(tracing):
+def test_h1_study_and_solver_agreement_build_no_kernel_matrix(tracing, small_blocks):
     config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=3,
-                         samples=3, seed=2, solver="greens")
+                         samples=5, seed=2, solver="greens")
     tracer = _traced(tracing, lambda: run_h1_blowup_study(config))
-    blocks = _blocks(config.samples, max(config.level_ns()))
-    assert tracer.counts[(1, "greens.solves")] == blocks * config.levels
+    level_ns = config.level_ns()
+    assert tracer.counts[(1, "greens.solves")] == _solves(config.samples, max(level_ns),
+                                                          level_ns)
     _assert_no_kernel_matrix(tracer)
 
     level_ns = (4, 8, 16)
     tracer = _traced(tracing, lambda: verify_solver_agreement(0.25, level_ns=level_ns,
-                                                              samples=3, seed=2))
-    assert tracer.counts[(1, "greens.solves")] == _blocks(3, max(level_ns)) * len(level_ns)
+                                                              samples=5, seed=2))
+    assert tracer.counts[(1, "greens.solves")] == _solves(5, max(level_ns), level_ns)
     _assert_no_kernel_matrix(tracer)
