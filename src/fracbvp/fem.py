@@ -186,13 +186,15 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
     """Galerkin solution of -u'' + f(x, u) = g + noise.
 
     The fixed point u + K_h f(., u) = A^-1 load of problem.damped_fixed_point,
-    K_h the Galerkin Green's operator (_nodal_apply): the damped step
+    K_h the Galerkin Green's operator (_nodal_apply): the step
     u - theta (u + K_h f(., u) - A^-1 load), theta the reaction's step_size
-    min(1, 2/(2 + L)), Anderson-accelerated.  Each step is the linear solve
-    with the current reaction load.  For f = 0 the first step is the exact
-    linear solve and the loop exits with iterations = 1.  A stack of paths
-    is solved row by row in one loop, each row to exactly the result of its
-    own solve.  A non-finite noise path or forcing raises ValueError.
+    (1 for a Lipschitz reaction, as ||K_h|| <= 1/pi^2 in L2; else
+    min(1, 2/(2 + L))), Anderson-accelerated.  Each step after the zero
+    start is the linear solve with the current reaction load.  For f = 0
+    the first step is the exact linear solve and the loop exits with
+    iterations = 1.  A stack of paths is solved row by row in one loop, each
+    row to exactly the result of its own solve.  A non-finite noise path or
+    forcing, or an empty stack, raises ValueError.
 
     Args:
         problem: Hurst index, reaction, forcing.

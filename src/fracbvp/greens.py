@@ -11,8 +11,9 @@ integrates it exactly against anything piecewise linear: the forcing's
 interpolant, the reaction f(., u) of a nodal u, and the piecewise constant
 noise alike.  The nonlinear equation is solved by the Anderson-accelerated
 fixed-point iteration both solvers share (problem.damped_fixed_point), whose
-damped step size follows from the coercivity of K; this module supplies K
-and K (g + noise).
+step size follows from the L2 norm of K, at most 1/pi^2, for a Lipschitz
+reaction and from the coercivity of K otherwise; this module supplies K and
+K (g + noise).
 
 G is semiseparable, (K phi)(x) = (1 - x) int_0^x y phi + x int_x^1 (1 - y) phi,
 so the solver applies K at the nodes with two running sums over the cells:
@@ -155,16 +156,18 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       max_iters: int = 500) -> Solution:
     """Solve u + K f(., u) = K g + K noise by Anderson-accelerated fixed-point iteration.
 
-    The damped step size theta = min(1, 2/(2 + L)) makes the plain
-    iteration a contraction whenever the reaction's constant L stays below
-    the coercivity constant 2 of K; the loop accelerates it (see
-    problem.damped_fixed_point).  For f = 0 the first iterate is already
-    exact and the loop exits immediately.  A non-finite noise path or
-    forcing raises ValueError.  K is applied in O(n) per
-    iteration (see _nodal_apply), so memory stays linear in the grid size.
-    A stack of paths is solved row by row in one loop
-    (problem.damped_fixed_point), each row to exactly the result of its own
-    solve.
+    For a reaction with Lipschitz constant L < 2 the plain iteration
+    u -> K g + K noise - K f(., u) contracts at rate <= L/pi^2, since K has
+    L2 norm <= 1/pi^2, and the loop takes it undamped; a monotone-only
+    reaction takes the damped step theta = min(1, 2/(2 + L)), L its
+    damping constant (see ReactionTerm.step_size).  The loop accelerates
+    either (see problem.damped_fixed_point).  For f = 0 the first iterate is
+    already exact and the loop exits with iterations = 1.  A non-finite
+    noise path or forcing, or an empty stack, raises ValueError.  K is
+    applied in O(n) per iteration (see _nodal_apply), so memory stays
+    linear in the grid size.  A stack of paths is solved row by row in one
+    loop (problem.damped_fixed_point), each row to exactly the result of
+    its own solve.
 
     Args:
         problem: Hurst index, reaction, forcing.

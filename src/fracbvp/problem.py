@@ -1,16 +1,19 @@
 """Problem data for -u'' + f(x, u) = g + noise on (0, 1), u(0) = u(1) = 0.
 
-The reaction term f must satisfy f(x, 0) = 0, a one-sided (monotonicity)
-condition (f(x,r) - f(x,s))(r - s) >= -L (r-s)^2 with L < 2, and linear
-growth |f(x,r) - f(x,s)| <= beta (1 + |r-s|).  The constant 2 is the
+The reaction term f must satisfy f(x, 0) = 0 exactly, a one-sided
+(monotonicity) condition (f(x,r) - f(x,s))(r - s) >= -L (r-s)^2 with L < 2,
+and linear growth |f(x,r) - f(x,s)| <= beta (1 + |r-s|).  The constant 2 is the
 coercivity constant of the Green's operator on (0, 1); both solvers are
 well posed exactly when L stays below it.
 
 Both solvers are one fixed-point iteration on the mild form
-u + K f(., u) = K (g + noise) at the grid nodes (damped_fixed_point): the
-damped step, Anderson-accelerated with depth ANDERSON_DEPTH.  They return
-one Solution type and differ only in the discrete Green's operator K they
-pass in, the Galerkin one or the Green's-function quadrature.
+u + K f(., u) = K (g + noise) at the grid nodes (damped_fixed_point),
+Anderson-accelerated with depth ANDERSON_DEPTH.  Its mixing is 1 for a
+Lipschitz reaction: the discrete K has L2 norm <= 1/pi^2, so the plain
+map u -> K (g + noise) - K f(., u) contracts at rate <= L/pi^2.  A
+monotone-only reaction takes the damped step 2/(2 + L).  The solvers
+return one Solution type and differ only in the discrete Green's operator
+K they pass in, the Galerkin one or the Green's-function quadrature.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class Solution:
         return GridFunction(self.grid, self.values, kind="nodal")
 
 
-# Anderson acceleration (Walker & Ni 2011) of the damped step: each step
+# Anderson acceleration (Walker & Ni 2011) of the fixed-point step: each step
 # mixes in the residual differences of up to this many earlier steps.
 ANDERSON_DEPTH = 3
 # The Gram system of a row is solved with this multiple of its trace added
@@ -119,22 +122,23 @@ def _solve_gram(gram: np.ndarray, right: np.ndarray):
 def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                        apply_k: Callable, tol: float, max_iters: int,
                        label: str) -> Solution:
-    """Solve u + K f(., u) = rhs at the nodes by Anderson-accelerated damped steps.
+    """Solve u + K f(., u) = rhs at the nodes by Anderson-accelerated fixed-point steps.
 
     The one solver iteration; the two solvers differ only in their discrete
     Green's operator K and right-hand side.  apply_k maps values at the
     grid's Gauss points (a stack of rows) to nodal values with zero ends,
     into `out` when it is given; rhs holds nodal rows with zero ends, one
     per noise path (a 1-D rhs is a single solve).  Every row starts from
-    zero.
+    zero, whose residual is rhs exactly as f(., 0) = 0: the zero start
+    calls neither the reaction nor K.
 
     The step is Anderson acceleration of depth ANDERSON_DEPTH with mixing
-    theta, the reaction's step_size, on the map u -> rhs - K f(., u)
-    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): with the residual
-    f = rhs - K f(., u) - u, the damped step u + theta f is corrected by the
-    combination of the last differences of the damped iterates u + theta f
-    whose residual differences best cancel f.  Each row keeps its own
-    history of those differences, and restarts it (one plain damped step)
+    theta, the reaction's step_size (1 for a Lipschitz reaction), on the
+    map u -> rhs - K f(., u) (Walker & Ni, SIAM J. Numer. Anal. 49, 2011):
+    with the residual f = rhs - K f(., u) - u, the step u + theta f is
+    corrected by the combination of the last differences of the iterates
+    u + theta f whose residual differences best cancel f.  Each row keeps
+    its own history of those differences, and restarts it (one plain step)
     when a pivot of its Gram system collapses or a step taken with a full
     history lets its residual grow.
 
@@ -147,15 +151,18 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
 
     Returns the Solution, a residual being the L2 norm of the row's last
     residual f.  Raises ValueError for a negative or NaN tol, a negative
-    max_iters or a non-finite rhs (a non-finite noise path or forcing), and
-    NonConvergenceError for the first row whose residual turns non-finite,
-    or else the first row still above tol after max_iters steps.
+    max_iters, an empty stack or a non-finite rhs (a non-finite noise path
+    or forcing), and NonConvergenceError for the first row whose residual
+    turns non-finite, or else the first row still above tol after
+    max_iters steps.
     """
     if not tol >= 0.0:
         raise ValueError(f"tolerance must be a number >= 0, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     rhs_rows = np.atleast_2d(rhs)
+    if not len(rhs_rows):
+        raise ValueError(f"{label} got an empty stack: no right-hand side row to solve")
     finite = np.isfinite(rhs_rows).all(axis=-1)
     if not finite.all():
         raise ValueError(f"right-hand side of row {int(np.argmin(finite))} is not finite: "
@@ -188,13 +195,17 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     active, target, residual = u, rhs_rows, residuals.copy()
     for iteration in range(max_iters + 1):
         count = len(rows)
-        # f(., u) at the Gauss points is freed as soon as K has mapped it;
         # d = u + K f(., u) - rhs is the residual f negated
-        at_gauss = scratch[:count * 2 * grid.n].reshape(count, 2 * grid.n)
-        d = apply_k(problem.reaction(gauss, gauss_values(active, out=at_gauss)),
-                    out=defects[:count])
-        d += active
-        d -= target
+        if iteration:
+            # f(., u) at the Gauss points is freed as soon as K has mapped it
+            at_gauss = scratch[:count * 2 * grid.n].reshape(count, 2 * grid.n)
+            d = apply_k(problem.reaction(gauss, gauss_values(active, out=at_gauss)),
+                        out=defects[:count])
+            d += active
+            d -= target
+        else:
+            # the zero start needs no reaction or K: f(., 0) = 0, so d = -rhs
+            d = np.subtract(0.0, target, out=defects[:count])
         residual, last = _linear_l2(grid.h, d[:, :-1], d[:, 1:]), residual
         finite = np.isfinite(residual)
         if not finite.all():
@@ -284,7 +295,7 @@ class ReactionTerm:
 
     @property
     def damping_constant(self) -> float:
-        """Constant entering the damped-iteration step size.
+        """Bound L on the reaction's slope: its Lipschitz constant, if it has one.
 
         Without a Lipschitz constant the growth constant stands in: a
         monotone-only reaction can have unbounded local slope (sqrt-clip at
@@ -297,7 +308,16 @@ class ReactionTerm:
 
     @property
     def step_size(self) -> float:
-        """Damped-iteration step theta = min(1, 2/(2 + L)), L the damping constant."""
+        """Mixing theta of the fixed-point steps: 1 for a Lipschitz reaction.
+
+        The discrete Green's operator has L2 norm <= 1/pi^2 (the Galerkin
+        eigenvalues of -d^2/dx^2 are >= pi^2), so with a Lipschitz constant
+        L < 2 the undamped map u -> rhs - K f(., u) contracts at rate
+        <= L/pi^2 < 0.21.  A monotone-only reaction takes the damped step
+        theta = min(1, 2/(2 + L)), L the damping constant.
+        """
+        if self.lipschitz_constant is not None:
+            return 1.0
         return min(1.0, COERCIVITY / (COERCIVITY + self.damping_constant))
 
     def spot_check(self, rng: np.random.Generator, trials: int = 200) -> None:
@@ -305,8 +325,8 @@ class ReactionTerm:
         x = rng.uniform(0.0, 1.0, size=trials)
         r = rng.normal(scale=5.0, size=trials)
         s = rng.normal(scale=5.0, size=trials)
-        zeros = self(x, np.zeros(trials))
-        if np.any(np.abs(zeros) > 1e-12):
+        # exactly zero: the fixed-point loop takes the defect of its zero start as -rhs
+        if np.any(self(x, np.zeros(trials)) != 0.0):
             raise AssertionError(f"{self.name}: f(x, 0) != 0")
         df = self(x, r) - self(x, s)
         slack = 1e-9 * (1.0 + (r - s) ** 2)

@@ -5,9 +5,10 @@ by.  A refactor that renames a wrapped function, or that captures a solver at
 import time (in a dict or a default argument), leaves the traced benchmark
 silently short of spans; the exact counts below catch both.  A study solves
 its samples in blocks of rows, so the counts follow the blocks: one solve per
-block and grid, one reaction call per stacked defect, one tridiagonal solve
-per stacked FEM defect plus one for the FEM right-hand side of each solve,
-and iteration totals that equal those of row-by-row solves.
+block and grid, one reaction call per stacked defect after the zero start,
+one tridiagonal solve per such FEM defect plus one for the FEM right-hand
+side of each solve, and iteration totals that equal those of row-by-row
+solves.
 """
 
 import json
@@ -85,9 +86,10 @@ def test_tiny_both_solver_study_is_fully_traced(tracing, monkeypatch):
     assert count("fem.iterations") == fem_rows.sum() > 0
     assert count("greens.iterations") == greens_rows.sum() > 0
     # one tridiagonal solve and one reaction call per stacked defect: every
-    # step and the final check, which stops on the norm of the step, evaluate
-    # one; FEM solves once more per stacked solve for its right-hand side A^-1 L
-    assert count("fem.tridiag_solves") == steps(fem_rows) + 2 * blocks * (levels + 1)
-    defects = steps(fem_rows) + steps(greens_rows) + 2 * blocks * (levels + 1)
+    # step ends in one, on which the next step or the stop rests, while the
+    # zero start's defect is -rhs and costs neither; FEM solves once more per
+    # stacked solve for its right-hand side A^-1 L
+    assert count("fem.tridiag_solves") == steps(fem_rows) + blocks * (levels + 1)
+    defects = steps(fem_rows) + steps(greens_rows)
     assert count("problem.reaction_calls") == defects + count("problem.reaction_calls", 2)
     assert count("fem.nonconverged") == count("greens.nonconverged") == 0

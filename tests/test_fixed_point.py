@@ -54,6 +54,28 @@ def test_iterations_do_not_grow_with_the_grid(solver, reaction):
     assert max(means) - min(means) <= 1.0
 
 
+# Most undamped Anderson steps a Lipschitz reaction may take; the map
+# u -> rhs - K f(., u) contracts at L/pi^2 < 0.21 in L2.
+UNDAMPED_STEPS = {"sin": 5, "linear:1.5": 6, "linear:-1.5": 6, "linear:1.99": 6,
+                  "linear:-1.99": 6}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("reaction", sorted(UNDAMPED_STEPS))
+def test_lipschitz_reactions_converge_in_a_few_undamped_steps(solver, reaction):
+    # 8 seeded paths per grid and Hurst index; a stall raises
+    worst = 0
+    for hurst in (0.1, 0.5):
+        for n in (2, 16, 1024, 4096):
+            sampler = IncrementSampler(UniformGrid(n), hurst, "davies-harte")
+            paths = IncrementPath(sampler.grid,
+                                  sampler.sample_many(np.random.default_rng([n, 8]), 8))
+            for forcing in ("one", "zero", "sinpi"):
+                spec = ProblemSpec.from_labels(hurst, reaction, forcing)
+                worst = max(worst, int(SOLVERS[solver](spec, paths).row_iterations.max()))
+    assert worst <= UNDAMPED_STEPS[reaction]
+
+
 def _counting(reaction: ReactionTerm, calls: list) -> ReactionTerm:
     def fn(x, r):
         calls.append(len(r))
@@ -86,6 +108,16 @@ def test_non_finite_data_fails_alike_before_any_step(bad):
     assert messages[0] == messages[1]
     # a forcing reaches every row, a noise path only its own
     assert f"row {0 if bad == 'nan forcing' else 2}" in messages[0]
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_an_empty_stack_is_refused_before_the_loop(solver):
+    calls = []
+    spec = dataclasses.replace(ProblemSpec.from_labels(0.3, "sin", "one"),
+                               reaction=_counting(problem.sin_reaction(), calls))
+    with pytest.raises(ValueError, match="empty stack"):
+        SOLVERS[solver](spec, IncrementPath(UniformGrid(16), np.zeros((0, 16))))
+    assert calls == []
 
 
 def _nan_off_zero() -> ProblemSpec:

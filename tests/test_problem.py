@@ -6,10 +6,13 @@ import pytest
 from fracbvp import (
     ProblemSpec,
     ReactionTerm,
+    UniformGrid,
     linear_reaction,
     make_forcing,
     make_reaction,
 )
+from fracbvp.grids import gauss_values
+from oracles import gauss_weight_matrix
 
 
 class TestReactionRegistry:
@@ -46,9 +49,11 @@ class TestReactionRegistry:
         assert make_reaction("sqrt-clip").damping_constant == 2.0
 
     def test_step_size(self):
+        # undamped for a Lipschitz reaction, whose map u -> rhs - K f(., u)
+        # contracts at L/pi^2 (the bound on K_h below); else
         # theta = min(1, 2 / (2 + L)) with L the damping constant
-        assert make_reaction("zero").step_size == 1.0
-        assert make_reaction("sin").step_size == 2.0 / 3.0
+        for label in ("zero", "sin", "linear:1.5", "linear:-1.5"):
+            assert make_reaction(label).step_size == 1.0
         assert make_reaction("sqrt-clip").step_size == 0.5
 
     def test_spot_check_catches_violations(self, rng):
@@ -56,11 +61,30 @@ class TestReactionRegistry:
         with pytest.raises(AssertionError):
             bad.spot_check(rng)
 
+    def test_spot_check_requires_an_exact_zero_at_zero(self, rng):
+        # the solver loop takes the defect of its zero start as -rhs
+        almost = ReactionTerm(lambda x, r: np.sin(r) + 1e-15, 1.0, 1.0, 1.0, name="almost")
+        with pytest.raises(AssertionError, match=r"f\(x, 0\) != 0"):
+            almost.spot_check(rng)
+
     def test_sqrt_clip_shape(self):
         f = make_reaction("sqrt-clip")
         x = np.zeros(4)
         r = np.array([-4.0, -0.25, 0.25, 9.0])
         assert np.allclose(f(x, r), [-1.0, -0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 128, 1024])
+def test_discrete_greens_operator_is_at_most_one_over_pi_squared(n):
+    # K_h maps nodal u to K f(., u) for f(x, r) = r: the dense Gauss weights
+    # of K times the Gauss values of every hat function.  It is A^-1 M, whose
+    # eigenvalues are the inverse Galerkin eigenvalues of -d^2/dx^2, all >= pi^2
+    grid = UniformGrid(n)
+    k_h = (gauss_weight_matrix(grid) @ gauss_values(np.eye(n + 1)).T)[1:-1, 1:-1]
+    eigenvalues = np.linalg.eigvals(k_h)
+    assert np.isrealobj(eigenvalues)
+    assert eigenvalues.min() > 0.0
+    assert eigenvalues.max() <= (1.0 + 1e-12) / np.pi**2
 
 
 class TestForcings:
