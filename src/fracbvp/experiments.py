@@ -10,7 +10,8 @@ works on a whole block, and the coarse grids solve many rows per call.
 Every study is reproducible: sample m always uses the generator seeded with
 [seed, m], each row of a block is computed exactly as it would be alone, and
 accumulation runs in sample order, so reports are byte-identical for any
---threads value, chunk size and block size.
+--threads value, chunk size and block size (on a fixed BLAS build and BLAS
+thread count, which round the Cholesky sampler's products).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .noise import (
     IncrementPath,
     IncrementSampler,
     StepFunction,
+    _TILE,
     _as_hurst,
     aggregate_increments,
     fbm_covariance,
@@ -235,26 +237,29 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
     Sample m draws one path on the grid with fine_n cells from its own
     generator default_rng([seed, m]).  Consecutive samples form chunks of
     _chunk_rows(fine_n, level_ns) rows, or of fewer, down to one fine-grid
-    block, so that every thread gets a chunk; a chunk is aggregated onto
-    every level and contributes the rows statistic(fine chunk,
-    {n: level chunk}), one per sample, which solves every grid n in blocks
-    of _block_rows(n) rows (_solve).  Every row is computed as it would be
-    alone and chunks are collected in index order, so the result depends
-    neither on threads nor on the chunk or block size.  A stall raises
-    NonConvergenceError naming the seed, the sample, the level and the
-    solver.
+    block, so that every thread gets a chunk; a Cholesky chunk is rounded up
+    to whole sampler tiles (_TILE rows), so its boundaries fall on tile
+    boundaries.  A chunk is drawn as one block (IncrementSampler.sample with
+    one generator per sample), aggregated onto every level, and contributes
+    the rows statistic(fine chunk, {n: level chunk}), one per sample, which
+    solves every grid n in blocks of _block_rows(n) rows (_solve).  Every
+    row is computed as it would be alone and chunks are collected in index
+    order, so the result depends neither on threads nor on the chunk or
+    block size.  A stall raises NonConvergenceError naming the seed, the
+    sample, the level and the solver.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
     rows = min(_chunk_rows(fine_n, level_ns),
                max(_block_rows(fine_n), -(-samples // threads)))
+    if method == "cholesky":
+        rows = -(-rows // _TILE) * _TILE
 
     def worker(start: int) -> np.ndarray:
-        chunk = np.empty((min(rows, samples - start), fine_n))
-        for m, row in enumerate(chunk, start):
-            row[:] = sampler.sample(np.random.default_rng([seed, m])).increments
-        fine_path = IncrementPath(sampler.grid, chunk)
+        fine_path = sampler.sample([np.random.default_rng([seed, m])
+                                    for m in range(start, min(start + rows, samples))],
+                                   first=start)
         try:
             return statistic(fine_path, _coupled_paths(fine_path, level_ns))
         except NonConvergenceError as exc:

@@ -1,10 +1,11 @@
 """Problem data for -u'' + f(x, u) = g + noise on (0, 1), u(0) = u(1) = 0.
 
-The reaction term f must satisfy f(x, 0) = 0 exactly, a one-sided
-(monotonicity) condition (f(x,r) - f(x,s))(r - s) >= -L (r-s)^2 with L < 2,
-and linear growth |f(x,r) - f(x,s)| <= beta (1 + |r-s|).  The constant 2 is the
-coercivity constant of the Green's operator on (0, 1); both solvers are
-well posed exactly when L stays below it.
+The reaction term f must satisfy f(x, 0) = 0 exactly (ProblemSpec checks
+it when it is built), a one-sided (monotonicity) condition
+(f(x,r) - f(x,s))(r - s) >= -L (r-s)^2 with L < 2, and linear growth
+|f(x,r) - f(x,s)| <= beta (1 + |r-s|).  The constant 2 is the coercivity
+constant of the Green's operator on (0, 1); both solvers are well posed
+exactly when L stays below it.
 
 Both solvers are one fixed-point iteration on the mild form
 u + K f(., u) = K (g + noise) at the grid nodes (damped_fixed_point),
@@ -294,19 +295,6 @@ class ReactionTerm:
         return self.fn(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
 
     @property
-    def damping_constant(self) -> float:
-        """Bound L on the reaction's slope: its Lipschitz constant, if it has one.
-
-        Without a Lipschitz constant the growth constant stands in: a
-        monotone-only reaction can have unbounded local slope (sqrt-clip at
-        the origin), and the undamped iteration then oscillates around zero
-        crossings instead of converging.
-        """
-        if self.lipschitz_constant is not None:
-            return self.lipschitz_constant
-        return max(self.monotone_constant, self.growth_constant, 0.0)
-
-    @property
     def step_size(self) -> float:
         """Mixing theta of the fixed-point steps: 1 for a Lipschitz reaction.
 
@@ -314,11 +302,15 @@ class ReactionTerm:
         eigenvalues of -d^2/dx^2 are >= pi^2), so with a Lipschitz constant
         L < 2 the undamped map u -> rhs - K f(., u) contracts at rate
         <= L/pi^2 < 0.21.  A monotone-only reaction takes the damped step
-        theta = min(1, 2/(2 + L)), L the damping constant.
+        theta = min(1, 2/(2 + L)) with L = max(monotone, growth constant):
+        its local slope can be unbounded (sqrt-clip at the origin), and the
+        undamped iteration then oscillates around zero crossings instead of
+        converging.
         """
         if self.lipschitz_constant is not None:
             return 1.0
-        return min(1.0, COERCIVITY / (COERCIVITY + self.damping_constant))
+        slope = max(self.monotone_constant, self.growth_constant, 0.0)
+        return min(1.0, COERCIVITY / (COERCIVITY + slope))
 
     def spot_check(self, rng: np.random.Generator, trials: int = 200) -> None:
         """Randomized check of f(x,0)=0, the one-sided bound, and growth."""
@@ -422,6 +414,14 @@ class ProblemSpec:
     forcing: Callable[[np.ndarray], np.ndarray]
     reaction_label: str = ""
     forcing_label: str = ""
+
+    def __post_init__(self):
+        # the solver loop takes its zero start's defect as -rhs without calling
+        # the reaction, which is right only if f(., 0) vanishes exactly
+        x = np.linspace(0.0, 1.0, 65)
+        if np.any(self.reaction(x, np.zeros_like(x)) != 0.0):
+            raise ValueError(f"reaction {self.reaction.name!r} has f(x, 0) != 0; "
+                             "the problem needs f(x, 0) = 0 exactly")
 
     @classmethod
     def from_labels(cls, hurst, reaction: str, forcing: str) -> "ProblemSpec":

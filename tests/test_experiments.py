@@ -289,8 +289,9 @@ class TestBlocks:
                 raise NonConvergenceError("stalled", residual=1.0, iterations=9, row=1)
             return np.zeros((len(fine_path.increments), 1))
 
+        # Davies-Harte chunks keep their two rows; Cholesky ones fill a sampler tile
         with pytest.raises(NonConvergenceError) as excinfo:
-            experiments._coupled_samples(statistic, 8, [8], 0.25, "cholesky",
+            experiments._coupled_samples(statistic, 8, [8], 0.25, "davies-harte",
                                          samples=5, seed=77, threads=1)
         assert str(excinfo.value) == "seed 77, sample m=3, stalled"
         assert blocks == [2, 2]
@@ -339,7 +340,7 @@ class TestBlocks:
         assert rows[128] == [128, 72]
         assert rows[512] == [32] * 6 + [8]
 
-    @pytest.mark.parametrize("threads, chunks", [(1, [200]), (4, [50] * 4),
+    @pytest.mark.parametrize("threads, chunks", [(1, [200]), (4, [64] * 3 + [8]),
                                                  (8, [32] * 6 + [8])])
     def test_every_thread_gets_a_chunk(self, monkeypatch, threads, chunks):
         rows, coupled_paths = [], experiments._coupled_paths
@@ -353,6 +354,7 @@ class TestBlocks:
                              ref_extra=2, samples=200, seed=2024, solver="fem")
         run_convergence_study(config, threads)
         # no smaller than one reference block, and as many as the threads allow
+        # once rounded up to whole 32-row Cholesky tiles (ceil(200 / 4) = 50 -> 64)
         assert sorted(rows, reverse=True) == chunks
 
     def test_study_memory_does_not_grow_with_the_sample_count(self):

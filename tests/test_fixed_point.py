@@ -101,6 +101,7 @@ def test_non_finite_data_fails_alike_before_any_step(bad):
         calls = []
         spec = dataclasses.replace(ProblemSpec.from_labels(0.3, "sin", "one"), forcing=forcing,
                                    reaction=_counting(problem.sin_reaction(), calls))
+        calls.clear()  # building the spec checks f(., 0) = 0 once
         with pytest.raises(ValueError) as excinfo:
             solve(spec, IncrementPath(grid, increments))
         assert calls == []  # raised before the first defect
@@ -115,6 +116,7 @@ def test_an_empty_stack_is_refused_before_the_loop(solver):
     calls = []
     spec = dataclasses.replace(ProblemSpec.from_labels(0.3, "sin", "one"),
                                reaction=_counting(problem.sin_reaction(), calls))
+    calls.clear()  # building the spec checks f(., 0) = 0 once
     with pytest.raises(ValueError, match="empty stack"):
         SOLVERS[solver](spec, IncrementPath(UniformGrid(16), np.zeros((0, 16))))
     assert calls == []
@@ -155,8 +157,9 @@ def test_study_names_the_sample_of_a_non_finite_residual(monkeypatch, solver):
         experiments._solve(solver, spec, path)
         return np.zeros((2, 1))
 
+    # Davies-Harte chunks keep their two rows; Cholesky ones fill a sampler tile
     with pytest.raises(NonConvergenceError) as excinfo:
-        experiments._coupled_samples(statistic, 8, [8], 0.3, "cholesky",
+        experiments._coupled_samples(statistic, 8, [8], 0.3, "davies-harte",
                                      samples=4, seed=77, threads=1)
     assert str(excinfo.value).startswith(f"seed 77, sample m=3, {solver} solver, level n=8: ")
     assert "non-finite residual at iteration 1" in str(excinfo.value)

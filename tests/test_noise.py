@@ -125,7 +125,7 @@ class TestSamplers:
             sampler = IncrementSampler(UniformGrid(8), 0.3, method)
             batch = sampler.sample_many(np.random.default_rng(7), 5)
             rng = np.random.default_rng(7)
-            rows = [sampler.sample(rng).increments for _ in range(5)]
+            rows = [sampler.sample(rng, first=i).increments for i in range(5)]
             assert np.array_equal(batch, np.array(rows)), method
 
     def test_same_seed_same_path(self):

@@ -31,8 +31,10 @@ def tracing(monkeypatch):
 def small_blocks(monkeypatch):
     # blocks of 4 rows on 4 cells, 2 on 8 and 1 on 16, and chunks of 2 rows
     # for a fine grid of 16 cells, so a few samples span several of each
+    # (Cholesky chunks not rounded up to whole 32-row sampler tiles)
     monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 16)
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 8 * 16 * 2)
+    monkeypatch.setattr(experiments, "_TILE", 1)
 
 
 def _traced(tracing, run):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracbvp import (
+    HurstIndex,
     ProblemSpec,
     ReactionTerm,
     UniformGrid,
@@ -43,15 +44,14 @@ class TestReactionRegistry:
             linear_reaction(-2.0)
 
     def test_damping_constant_prefers_lipschitz(self):
-        assert make_reaction("sin").damping_constant == 1.0
-        # no Lipschitz constant: fall back to the growth constant, since an
-        # undamped step oscillates across the sqrt-clip kink at zero
-        assert make_reaction("sqrt-clip").damping_constant == 2.0
+        # no Lipschitz constant: the growth constant 2 bounds the slope, since
+        # an undamped step oscillates across the sqrt-clip kink at zero
+        assert make_reaction("sqrt-clip").step_size == 2.0 / (2.0 + 2.0) == 0.5
 
     def test_step_size(self):
         # undamped for a Lipschitz reaction, whose map u -> rhs - K f(., u)
         # contracts at L/pi^2 (the bound on K_h below); else
-        # theta = min(1, 2 / (2 + L)) with L the damping constant
+        # theta = min(1, 2 / (2 + L)) with L = max(monotone, growth constant)
         for label in ("zero", "sin", "linear:1.5", "linear:-1.5"):
             assert make_reaction(label).step_size == 1.0
         assert make_reaction("sqrt-clip").step_size == 0.5
@@ -105,6 +105,18 @@ class TestProblemSpec:
         assert spec.hurst.value == 0.25
         assert spec.reaction_label == "sin"
         assert spec.forcing_label == "one"
+
+    def test_reaction_must_vanish_at_zero(self):
+        # the solver loop's zero start calls no reaction: with f(x, 0) = 1 it
+        # would return u = 0 after 0 iterations
+        shifted = ReactionTerm(lambda x, u: np.sin(u) + 1.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match=r"f\(x, 0\) != 0"):
+            ProblemSpec(HurstIndex(0.25), shifted, make_forcing("zero"))
+        nan_at_zero = ReactionTerm(lambda x, u: np.where(u == 0.0, np.nan, u), 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            ProblemSpec(HurstIndex(0.25), nan_at_zero, make_forcing("zero"))
+        ProblemSpec(HurstIndex(0.25), ReactionTerm(lambda x, u: np.sin(u), 1.0, 1.0, 1.0),
+                    make_forcing("zero"))
 
     def test_hurst_validation_propagates(self):
         with pytest.raises(ValueError):
