@@ -231,7 +231,8 @@ def _by_blocks(measure: Callable, n: int, *functions: GridFunction) -> np.ndarra
 
 
 def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: str,
-                     samples: int, seed: int, threads: int) -> np.ndarray:
+                     samples: int, seed: int, threads: int,
+                     reference: Callable = None) -> np.ndarray:
     """Per-sample statistics of coupled paths, stacked in sample order.
 
     Sample m draws one path on the grid with fine_n cells from its own
@@ -242,10 +243,12 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
     boundaries.  A chunk is drawn as one block (IncrementSampler.sample with
     one generator per sample), aggregated onto every level, and contributes
     the rows statistic(fine chunk, {n: level chunk}), one per sample, which
-    solves every grid n in blocks of _block_rows(n) rows (_solve).  Every
-    row is computed as it would be alone and chunks are collected in index
-    order, so the result depends neither on threads nor on the chunk or
-    block size.  A stall raises NonConvergenceError naming the seed, the
+    solves every grid n in blocks of _block_rows(n) rows (_solve).  With a
+    reference, the statistic gets reference(fine chunk) in place of the fine
+    chunk: what it needs of it, the reference solves, so that the fine chunk
+    is released before the level solves.  Every row is computed as it would
+    be alone and chunks are collected in index order, so the result depends
+    neither on threads nor on the chunk or block size.  A stall raises NonConvergenceError naming the seed, the
     sample, the level and the solver.
     """
     if threads < 1:
@@ -257,11 +260,14 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
         rows = -(-rows // _TILE) * _TILE
 
     def worker(start: int) -> np.ndarray:
-        fine_path = sampler.sample([np.random.default_rng([seed, m])
-                                    for m in range(start, min(start + rows, samples))],
-                                   first=start)
+        fine = sampler.sample([np.random.default_rng([seed, m])
+                               for m in range(start, min(start + rows, samples))],
+                              first=start)
         try:
-            return statistic(fine_path, _coupled_paths(fine_path, level_ns))
+            paths = _coupled_paths(fine, level_ns)
+            if reference:
+                fine = reference(fine)
+            return statistic(fine, paths)
         except NonConvergenceError as exc:
             raise NonConvergenceError(f"seed {seed}, sample m={start + exc.row}, {exc}",
                                       exc.residual, exc.iterations) from exc
@@ -313,18 +319,21 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     level_ns = config.level_ns()
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def squared_errors(ref_path: IncrementPath, paths: dict) -> np.ndarray:
+    def reference_solves(ref_path: IncrementPath) -> list:
+        return [_solve(solver, problem, ref_path, **options) for solver in solvers]
+
+    def squared_errors(references: list, paths: dict) -> np.ndarray:
         out = []
-        for solver in solvers:
-            reference = _solve(solver, problem, ref_path, **options)
+        for solver, reference in zip(solvers, references):
             solutions = [_solve(solver, problem, paths[n], **options) for n in level_ns]
-            out.append(np.stack([np.square(_by_blocks(discrete_l2_error, ref_path.grid.n,
+            out.append(np.stack([np.square(_by_blocks(discrete_l2_error, reference.grid.n,
                                                       u, reference))
                                  for u in solutions], axis=-1))
         return np.stack(out, axis=1)  # (rows, solvers, levels)
 
     rows = _coupled_samples(squared_errors, config.reference_n, level_ns, config.hurst,
-                            config.sampler, config.samples, config.seed, threads)
+                            config.sampler, config.samples, config.seed, threads,
+                            reference=reference_solves)
     results = {solver: _rate_block(level_ns, rows[:, i]) for i, solver in enumerate(solvers)}
     return ConvergenceReport(config, results, time.perf_counter() - started)
 

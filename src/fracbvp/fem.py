@@ -10,7 +10,10 @@ form, u + K_h f(., u) = A^-1 (load of g + noise), where the discrete Green's
 operator K_h is the stiffness solve A^-1 of the Gauss-rule load: the
 Anderson-accelerated fixed-point iteration both solvers share
 (problem.damped_fixed_point), with K_h in place of the Green's-function
-quadrature it agrees with at the nodes.
+quadrature it agrees with at the nodes.  A reaction with a slope c at zero
+is iterated in the shifted form u + K_c (f(., u) - c u) = (A + c M)^-1 load,
+K_c = (A + c M)^-1 of the Gauss-rule load and M the P1 mass matrix: the
+Galerkin operator of -u'' + c u, which has the same discrete solution.
 The stiffness solve is Gaussian elimination with its multipliers in closed
 form: two running sums, no factorization and no LAPACK.  A stack of noise
 paths, one per row, is solved row by row in one loop: every step is one
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, discrete_h1_error,
-                    discrete_l2_error)
+from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, _shifted_stiffness,
+                    discrete_h1_error, discrete_l2_error)
 from .noise import IncrementPath, increments_on
 from .problem import ProblemSpec, Solution, damped_fixed_point
 
@@ -49,31 +52,43 @@ def _require_finite(array: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Stiffness matrix tridiag(-1, 2, -1)/h of -u'' on the interior nodes of a grid.
+    """Stiffness matrix tridiag(-1, 2, -1)/h of -u'' on the interior nodes, plus shift M.
 
+    M is the P1 mass matrix h tridiag(1, 4, 1)/6, so with a shift c the
+    matrix is the Galerkin one of -u'' + c u; c = 0 is the stiffness alone.
     Vectors are the last axis: matvec and solve map a stack of rows row by
     row.  Gaussian elimination of tridiag(-1, 2, -1) has the pivots
     (i+1)/i and the multipliers -(i-1)/i in closed form, so with weights
     set up once per grid the solve is two running sums and no
     factorization: the forward sweep is z = cumsum(i b), the back sweep
-    x_i = (i/n) sum_{k >= i} z_k / (k (k+1)), a reversed cumsum.
+    x_i = (i/n) sum_{k >= i} z_k / (k (k+1)), a reversed cumsum.  With a
+    shift, A + c M = s tridiag(-1, beta, -1) has the pivots q_(i+1)/q_i
+    (grids._shifted_stiffness), and the same sweeps take the weights q_i,
+    1/(q_k q_(k+1)) and q_i/s in place of i, 1/(k (k+1)) and i/n.
     """
 
     grid: UniformGrid
+    shift: float = 0.0
 
     def __post_init__(self):
         if self.grid.n < 2:
             raise ValueError("need at least 2 cells for one interior node")
-        ramp = np.arange(1.0, self.grid.n)
+        if self.shift:
+            q, s = _shifted_stiffness(self.grid, self.shift)
+            ramp, back, scale = q[1:-1], 1.0 / (q[1:-1] * q[2:]), q[1:-1] / s
+        else:
+            ramp = np.arange(1.0, self.grid.n)
+            back, scale = 1.0 / (ramp * (ramp + 1.0)), ramp / self.grid.n
         object.__setattr__(self, "_ramp", ramp)
-        object.__setattr__(self, "_back", 1.0 / (ramp * (ramp + 1.0)))
-        object.__setattr__(self, "_scale", ramp / self.grid.n)
+        object.__setattr__(self, "_back", back)
+        object.__setattr__(self, "_scale", scale)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         inv_h = 1.0 / self.grid.h
-        out = (2.0 * inv_h) * v
-        out[..., 1:] -= inv_h * v[..., :-1]
-        out[..., :-1] -= inv_h * v[..., 1:]
+        out = (2.0 * inv_h + self.shift * self.grid.h * (2.0 / 3.0)) * v
+        off = inv_h - self.shift * self.grid.h / 6.0
+        out[..., 1:] -= off * v[..., :-1]
+        out[..., :-1] -= off * v[..., 1:]
         return out
 
     def solve(self, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
@@ -143,16 +158,18 @@ def _with_boundary(interior: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def _nodal_apply(grid: UniformGrid):
+def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
     """The map from Gauss-point values of phi to the Galerkin K_h phi at the nodes.
 
     K_h phi is the FEM solution of -u'' = phi with phi's load taken by the
     Gauss rule: the stiffness solve of that load, padded with the zero
     boundary values.  In one dimension it agrees at the nodes with the
-    Green's-function quadrature of greens._nodal_apply.  A stack of rows
-    phi maps row by row, into `out` when it is given.
+    Green's-function quadrature of greens._nodal_apply.  With a shift c the
+    map is K_c = (A + c M)^-1 of the same load, the FEM solution of
+    -u'' + c u = phi, which is (I + c K_h)^-1 K_h at the nodes.  A stack of
+    rows phi maps row by row, into `out` when it is given.
     """
-    stiffness = Tridiagonal(grid)
+    stiffness = Tridiagonal(grid, shift)
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         # unchecked: the fixed-point loop checks its right-hand side and
@@ -189,8 +206,10 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
     K_h the Galerkin Green's operator (_nodal_apply): the step
     u - theta (u + K_h f(., u) - A^-1 load), theta the reaction's step_size
     (1 for a Lipschitz reaction, as ||K_h|| <= 1/pi^2 in L2; else
-    min(1, 2/(2 + L))), Anderson-accelerated.  Each step after the zero
-    start is the linear solve with the current reaction load.  For f = 0
+    min(1, 2/(2 + L))), Anderson-accelerated.  A reaction with a slope c at
+    zero iterates u + K_c (f(., u) - c u) = (A + c M)^-1 load instead, the
+    same equation.  Each step after the zero start is the linear solve with
+    the current reaction load.  For f = 0
     the first step is the exact linear solve and the loop exits with
     iterations = 1.  A stack of paths is solved row by row in one loop, each
     row to exactly the result of its own solve.  A non-finite noise path or
@@ -203,7 +222,8 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
         grid: FEM mesh; defaults to the path's grid, and may be any
             refinement of it (the noise stays constant on its own cells).
         tol: tolerance on the L2 norm of the residual u + K_h f(., u) -
-            A^-1 load, the same rule as the Green's solver's.
+            A^-1 load, the same rule as the Green's solver's (met through
+            the shifted residual when c != 0; see damped_fixed_point).
         max_iters: cap; NonConvergenceError beyond it.
     """
     if path is None and grid is None:
@@ -211,9 +231,10 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
     if grid is None:
         grid = path.grid
     load = assemble_load(grid, forcing=problem.forcing, path=path)
+    shift = problem.reaction.shift
     # a non-finite load is reported by the loop, as the Green's solver's is
-    rhs = _with_boundary(Tridiagonal(grid).solve(load, check_finite=False))
-    return damped_fixed_point(problem, grid, rhs, _nodal_apply(grid), tol, max_iters,
+    rhs = _with_boundary(Tridiagonal(grid, shift).solve(load, check_finite=False))
+    return damped_fixed_point(problem, grid, rhs, _nodal_apply(grid, shift), tol, max_iters,
                               "FEM fixed-point iteration")
 
 

@@ -13,7 +13,10 @@ noise alike.  The nonlinear equation is solved by the Anderson-accelerated
 fixed-point iteration both solvers share (problem.damped_fixed_point), whose
 step size follows from the L2 norm of K, at most 1/pi^2, for a Lipschitz
 reaction and from the coercivity of K otherwise; this module supplies K and
-K (g + noise).
+K (g + noise).  For a reaction with a slope c at zero it supplies
+K_c = (I + c K)^-1 K and K_c (g + noise) instead, and the loop iterates
+u + K_c (f(., u) - c u) = K_c (g + noise), the same equation.  K_c is the
+Green's operator of -u'' + c u on the grid, with the same two running sums.
 
 G is semiseparable, (K phi)(x) = (1 - x) int_0^x y phi + x int_x^1 (1 - y) phi,
 so the solver applies K at the nodes with two running sums over the cells:
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import UniformGrid
+from .grids import UniformGrid, _shifted_stiffness, gauss_values
 from .noise import IncrementPath, increments_on, plinear_self_isometry
 from .problem import ProblemSpec, Solution, damped_fixed_point
 
@@ -75,7 +78,7 @@ def greens_cell_integrals(x, grid: UniformGrid) -> np.ndarray:
     return out[0] if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _nodal_apply(grid: UniformGrid):
+def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
     """The map from Gauss-point values of phi to (K phi) at the nodes, in O(n).
 
     G(x, y) is y (1 - x) for y < x and x (1 - y) for y > x, so
@@ -84,38 +87,57 @@ def _nodal_apply(grid: UniformGrid):
     the (1 - y)-weighted ones of the cells right of it; each cell's two
     contributions are added before they enter a running sum.  The result is
     the two-point Gauss rule applied to G(x_j, .) phi, exact whenever phi is
-    linear per cell, since G(x_j, .) is linear on every cell.  A stack of
-    rows phi maps row by row, into `out` when it is given (one row per row
-    of phi).  The running sums go through scratch rows kept from call to
-    call, grown to the largest stack seen, so a loop that passes `out`
-    allocates no stack-sized array here.
+    linear per cell, since G(x_j, .) is linear on every cell.
+
+    With a shift c the map is K_c = (I + c K)^-1 K at the nodes.  Its kernel
+    at node x_j is the P1 interpolant of row j of (A + c M)^-1, the shifted
+    stiffness of grids._shifted_stiffness, q_min q_(n-max) / (s q_n): the
+    same two running sums, with the generators y and 1 - y replaced by the
+    interpolants of q/q_n and of q reversed over q_n, and the result scaled
+    by q_n/s (folded into the Gauss weights).  At c = 0, q_i = i and s = n
+    give back G.
+
+    A stack of rows phi maps row by row, into `out` when it is given (one
+    row per row of phi).  The running sums go through scratch rows kept from
+    call to call, grown to the largest stack seen, so a loop that passes
+    `out` allocates no stack-sized array here.
     """
-    nodes = grid.nodes()
-    gauss = grid.gauss_points()
+    if shift:
+        q, scale = _shifted_stiffness(grid, shift)
+        rising = q / q[-1]
+        weight = 0.5 * grid.h * q[-1] / scale
+        falling = rising[::-1]
+        up, down = gauss_values(rising), gauss_values(falling)
+    else:
+        rising = grid.nodes()
+        weight = 0.5 * grid.h
+        falling = 1.0 - rising
+        up = grid.gauss_points()
+        down = 1.0 - up
     # weights of each cell's first and second Gauss point
-    left = [0.5 * grid.h * gauss[k::2] for k in (0, 1)]
-    right = [0.5 * grid.h * (1.0 - gauss[k::2]) for k in (0, 1)]
-    scratch = []  # [above, cells, term], each with the largest row count seen
+    left = [weight * up[k::2] for k in (0, 1)]
+    right = [weight * down[k::2] for k in (0, 1)]
+    scratch = []  # [above, cells], each with the largest row count seen
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         stack = np.atleast_2d(phi)
         rows = len(stack)
         if not scratch or len(scratch[0]) < rows:
-            scratch[:] = [np.empty((rows, grid.n + 1)), np.empty((rows, grid.n)),
-                          np.empty((rows, grid.n))]
-        above, cells, term = (array[:rows] for array in scratch)
+            scratch[:] = [np.empty((rows, grid.n + 1)), np.empty((rows, grid.n))]
+        above, cells = (array[:rows] for array in scratch)
         below = np.empty((rows, grid.n + 1)) if out is None else out
         first, second = stack[:, 0::2], stack[:, 1::2]
+        # each running sum's target holds the second Gauss points' terms first
         np.multiply(left[0], first, out=cells)
-        cells += np.multiply(left[1], second, out=term)
+        cells += np.multiply(left[1], second, out=below[:, 1:])
         below[:, 0] = 0.0
         np.cumsum(cells, axis=-1, out=below[:, 1:])
         np.multiply(right[0], first, out=cells)
-        cells += np.multiply(right[1], second, out=term)
+        cells += np.multiply(right[1], second, out=above[:, :-1])
         above[:, -1] = 0.0
         np.cumsum(cells[:, ::-1], axis=-1, out=above[:, -2::-1])
-        below *= 1.0 - nodes
-        above *= nodes
+        below *= falling
+        above *= rising
         below += above
         return below.reshape(phi.shape[:-1] + (grid.n + 1,))
 
@@ -160,12 +182,14 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
     u -> K g + K noise - K f(., u) contracts at rate <= L/pi^2, since K has
     L2 norm <= 1/pi^2, and the loop takes it undamped; a monotone-only
     reaction takes the damped step theta = min(1, 2/(2 + L)), L its
-    damping constant (see ReactionTerm.step_size).  The loop accelerates
-    either (see problem.damped_fixed_point).  For f = 0 the first iterate is
-    already exact and the loop exits with iterations = 1.  A non-finite
-    noise path or forcing, or an empty stack, raises ValueError.  K is
-    applied in O(n) per iteration (see _nodal_apply), so memory stays
-    linear in the grid size.  A stack of paths is solved row by row in one
+    damping constant (see ReactionTerm.step_size).  A reaction with a slope
+    c at zero iterates the shifted form u + K_c (f(., u) - c u) = K_c g +
+    K_c noise, K_c = (I + c K)^-1 K, the same equation.  The loop
+    accelerates either (see problem.damped_fixed_point).  For f = 0 the
+    first iterate is already exact and the loop exits with iterations = 1.
+    A non-finite noise path or forcing, or an empty stack, raises
+    ValueError.  K is applied in O(n) per iteration (see _nodal_apply), so
+    memory stays linear in the grid size.  A stack of paths is solved row by row in one
     loop (problem.damped_fixed_point), each row to exactly the result of
     its own solve.
 
@@ -175,7 +199,8 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
             a stack of them; None solves the deterministic problem.
         grid: solver grid; defaults to the path's grid.
         tol: tolerance on the L2 norm of the residual K f(., u) + u - rhs;
-            the same rule as the FEM solver's.
+            the same rule as the FEM solver's (met through the shifted
+            residual when c != 0; see damped_fixed_point).
         max_iters: iteration cap; NonConvergenceError beyond it.
 
     Returns:
@@ -185,7 +210,7 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
-    apply_k = _nodal_apply(grid)
+    apply_k = _nodal_apply(grid, problem.reaction.shift)
     density = problem.forcing(grid.gauss_points())
     if path is not None:
         # the noise density is constant on each cell, so both Gauss points see it

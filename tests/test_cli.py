@@ -177,7 +177,7 @@ class TestSolve:
 
     def test_unreachable_tolerance_exits_numerical(self, capsys):
         code, _, err = _run(capsys, ["solve", "--hurst", "0.25", "--n", "8",
-                                     "--f", "sin", "--g", "one", "--seed", "2",
+                                     "--f", "sqrt-clip", "--g", "one", "--seed", "2",
                                      "--tol", "1e-30"])
         assert code == 2
         assert "numerical failure" in err
