@@ -239,19 +239,23 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:
-    """Ritz projection of w onto the hat-function space.
+    """Ritz projection of w onto the hat-function space, in closed form.
 
     The right-hand side (w', phi_j') collapses to exact nodal differences
-    (2 w(x_j) - w(x_{j-1}) - w(x_{j+1}))/h, so in one dimension the
-    projection coincides with nodal interpolation; the stiffness solve is kept
-    as the defining computation.
+    (2 w(x_j) - w(x_{j-1}) - w(x_{j+1}))/h, those of the nodal interpolant
+    I w, and a linear function is energy-orthogonal to every interior hat.
+    So in one dimension the projection is I w less the linear function
+    through w's end values, w(0) (1 - x) + w(1) x, with no stiffness solve.
 
     Args:
         w: callable or GridFunction (or a stack of them), absolutely
             continuous on [0, 1].
         grid: target FEM grid.
+
+    ValueError if w is not finite at the nodes.
     """
-    values = np.asarray(w(grid.nodes()), dtype=float)
-    rhs = (2.0 * values[..., 1:-1] - values[..., :-2] - values[..., 2:]) / grid.h
-    interior = Tridiagonal(grid).solve(rhs)
-    return GridFunction(grid, _with_boundary(interior), kind="nodal")
+    x = grid.nodes()
+    values = np.asarray(w(x), dtype=float)
+    _require_finite(values)
+    return GridFunction(grid, values - values[..., :1] * (1.0 - x) - values[..., -1:] * x,
+                        kind="nodal")

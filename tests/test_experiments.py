@@ -3,6 +3,7 @@
 import json
 import sys
 import tracemalloc
+import weakref
 from collections import defaultdict
 
 import numpy as np
@@ -29,7 +30,7 @@ from fracbvp import experiments
 from fracbvp import fem as fem_module
 from fracbvp.errors import NonConvergenceError
 from fracbvp.experiments import _coupled_paths, kernel_pair_sum_quadrature
-from fracbvp.noise import StepFunction, singular_kernel_pair_sum
+from fracbvp.noise import StepFunction, aggregate_increments, singular_kernel_pair_sum
 from fracbvp.problem import damped_fixed_point
 
 
@@ -111,6 +112,20 @@ class TestCoupling:
             blocks = fine.increments.reshape(n, 64 // n).sum(axis=1)
             assert np.allclose(path.increments, blocks, atol=1e-15)
 
+    def test_chained_aggregation_agrees_on_a_study_chunk(self):
+        # a study-sized Cholesky chunk: 200 rows on 512 cells, levels 16..128
+        sampler = IncrementSampler(UniformGrid(512), 0.25)
+        chunk = sampler.sample([np.random.default_rng([2024, m]) for m in range(200)])
+        paths = _coupled_paths(chunk, [16, 32, 64, 128])
+        assert paths[512] is chunk
+        assert sorted(paths) == [16, 32, 64, 128, 512]
+        for n in (16, 32, 64):
+            # halving the next finer level sums the same increments in another order
+            chained = aggregate_increments(paths[2 * n], 2)
+            assert chained.grid.n == n
+            assert np.allclose(chained.increments, paths[n].increments,
+                               rtol=1e-12, atol=1e-14), n
+
 
 class TestConvergenceStudy:
     def test_zero_reaction_rate(self):
@@ -130,6 +145,28 @@ class TestConvergenceStudy:
         config = StudyConfig(hurst=0.3, reaction="sqrt-clip", forcing="one", n0=8,
                              levels=3, samples=40, seed=7, solver="both")
         run_convergence_study(config)
+
+    def test_fine_chunk_is_released_before_the_level_solves(self, monkeypatch):
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,
+                             samples=40, seed=5, solver="both")
+        chunks, level_solves = [], []
+        coupled_paths, solve = experiments._coupled_paths, experiments._solve
+
+        def paths_spy(fine, level_ns):
+            chunks.append(weakref.ref(fine.increments))
+            return coupled_paths(fine, level_ns)
+
+        def solve_spy(solver, problem, path, grid=None, **options):
+            if path.grid.n != config.reference_n:
+                level_solves.append(chunks[-1]() is None)
+            return solve(solver, problem, path, grid, **options)
+
+        monkeypatch.setattr(experiments, "_coupled_paths", paths_spy)
+        monkeypatch.setattr(experiments, "_solve", solve_spy)
+        run_convergence_study(config)
+        assert len(chunks) == 1
+        assert len(level_solves) == 2 * config.levels
+        assert all(level_solves)
 
     def test_both_solvers_reported(self):
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one",
@@ -283,11 +320,11 @@ class TestBlocks:
         monkeypatch.setattr(experiments, "_block_rows", lambda fine_n: 2)
         blocks = []
 
-        def statistic(fine_path, paths):
-            blocks.append(len(fine_path.increments))
+        def statistic(paths):
+            blocks.append(len(paths[8].increments))
             if len(blocks) == 2:  # rows 2 and 3; the second one stalls
                 raise NonConvergenceError("stalled", residual=1.0, iterations=9, row=1)
-            return np.zeros((len(fine_path.increments), 1))
+            return np.zeros((len(paths[8].increments), 1))
 
         # Davies-Harte chunks keep their two rows; Cholesky ones fill a sampler tile
         with pytest.raises(NonConvergenceError) as excinfo:

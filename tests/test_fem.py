@@ -319,3 +319,32 @@ class TestRitzProjection:
             hat[j - 1], hat[j] = 1.0 / coarse.h, -1.0 / coarse.h
             inner = float(np.sum(defect * np.repeat(hat, 4)) * fine.h)
             assert abs(inner) < 1e-12, j
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_closed_form_matches_the_stiffness_solve(self, rng, n):
+        # a stack of w with nonzero ends: the projection solves A p = (w', phi_j')
+        # with zero boundary values, here densely from the oracle's bands and a
+        # right-hand side integrated from w's fine slopes
+        fine, coarse = UniformGrid(4 * n), UniformGrid(n)
+        w = GridFunction(fine, rng.normal(size=(3, fine.n + 1)))
+        proj = ritz_projection(w, coarse)
+        assert proj.values.shape == (3, n + 1)
+        assert np.all(proj.values[:, [0, -1]] == 0.0)
+        if n == 1:
+            return  # no interior node
+        slopes = np.diff(w.values) / fine.h
+        hats = np.zeros((n - 1, n))
+        hats[np.arange(n - 1), np.arange(n - 1)] = 1.0 / coarse.h
+        hats[np.arange(n - 1), np.arange(1, n)] = -1.0 / coarse.h
+        rhs = slopes @ np.repeat(hats, 4, axis=1).T * fine.h
+        bands = stiffness_bands(coarse)
+        stiffness = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+                     + np.diag(bands[2, :-1], -1))
+        oracle = np.linalg.solve(stiffness, rhs.T).T
+        assert np.allclose(proj.values[:, 1:-1], oracle, rtol=0.0,
+                           atol=1e-12 * np.abs(oracle).max())
+
+    def test_non_finite_values_raise(self):
+        w = GridFunction(UniformGrid(8), np.array([0.0] * 8 + [np.nan]))
+        with pytest.raises(ValueError):
+            ritz_projection(w, UniformGrid(4))

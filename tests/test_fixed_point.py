@@ -149,8 +149,8 @@ def test_study_names_the_sample_of_a_non_finite_residual(monkeypatch, solver):
     spec = _nan_off_zero()
     blocks = []
 
-    def statistic(fine_path, paths):
-        blocks.append(len(fine_path.increments))
+    def statistic(paths):
+        blocks.append(len(paths[8].increments))
         # the second block's first row keeps zero noise and stops at once
         scale = np.array([0.0, 1.0]) if len(blocks) == 2 else np.zeros(2)
         path = IncrementPath(paths[8].grid, paths[8].increments * scale[:, None])

@@ -120,9 +120,9 @@ def test_solve_draws_the_path_of_study_sample_zero(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "u.csv")]) == 0
     chunks = []
 
-    def statistic(fine_path, level_paths):
-        chunks.append(fine_path.increments)
-        return np.zeros((len(fine_path.increments), 1))
+    def statistic(paths):
+        chunks.append(paths[512].increments)
+        return np.zeros((len(paths[512].increments), 1))
 
     experiments._coupled_samples(statistic, 512, [512], 0.25, "cholesky", samples=40,
                                  seed=11, threads=1)

@@ -25,9 +25,10 @@ def _stack(n, rows=6, seed=11):
     """Seeded paths on n cells, rows scaled apart so they stop at different steps.
 
     In a study-sized stack (32 rows on 512 cells, 16 on 1024) some rows stop
-    part way through filling the acceleration history.  Sin takes 4 to 6
-    undamped steps, so the scales run from 0.25 to 1e4 to spread its rows
-    over three counts there and over two on 64 cells.
+    part way through filling the acceleration history.  The scales run from
+    0.25 to 1e4, so with forcing one at H = 0.3 the shifted sin rows take
+    2 to 7 steps there ({2, ..., 7} on 512 cells, {2, 3, 4, 6, 7} on 1024)
+    and {3, 6, 7} on 64 cells, alike in both solvers.
     """
     sampler = IncrementSampler(UniformGrid(n), 0.3, "davies-harte")
     paths = sampler.sample_many(np.random.default_rng(seed), rows)
