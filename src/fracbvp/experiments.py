@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import FactorizationError, NonConvergenceError
 from .fem import ritz_projection, solve_nonlinear_fem
 from .greens import convolution_error_second_moment, solve_hammerstein
 from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
@@ -244,11 +244,16 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
     Every row is computed as it would be alone and chunks are collected in
     index order, so the result depends neither on threads nor on the chunk
     or block size.  A stall raises NonConvergenceError naming the seed, the
-    sample, the level and the solver.
+    sample, the level and the solver, and a failed factorization of the
+    sampler FactorizationError naming the seed, the sampler and fine_n.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
+    try:
+        sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
+    except FactorizationError as exc:
+        raise FactorizationError(f"seed {seed}, {method} sampler, reference n={fine_n}: "
+                                 f"{exc}") from exc
     rows = min(_chunk_rows(fine_n, level_ns),
                max(_block_rows(fine_n), -(-samples // threads)))
     if method == "cholesky":

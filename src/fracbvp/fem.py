@@ -57,14 +57,13 @@ class Tridiagonal:
     M is the P1 mass matrix h tridiag(1, 4, 1)/6, so with a shift c the
     matrix is the Galerkin one of -u'' + c u; c = 0 is the stiffness alone.
     Vectors are the last axis: matvec and solve map a stack of rows row by
-    row.  Gaussian elimination of tridiag(-1, 2, -1) has the pivots
-    (i+1)/i and the multipliers -(i-1)/i in closed form, so with weights
-    set up once per grid the solve is two running sums and no
-    factorization: the forward sweep is z = cumsum(i b), the back sweep
-    x_i = (i/n) sum_{k >= i} z_k / (k (k+1)), a reversed cumsum.  With a
-    shift, A + c M = s tridiag(-1, beta, -1) has the pivots q_(i+1)/q_i
-    (grids._shifted_stiffness), and the same sweeps take the weights q_i,
-    1/(q_k q_(k+1)) and q_i/s in place of i, 1/(k (k+1)) and i/n.
+    row.  A + c M = s tridiag(-1, beta, -1) has the pivots q_(i+1)/q_i in
+    closed form (grids._shifted_stiffness), so with weights set up once per
+    grid the solve is two running sums and no factorization: the forward
+    sweep is z = cumsum(q_i b), the back sweep
+    x_i = (q_i/s) sum_{k >= i} z_k / (q_k q_(k+1)), a reversed cumsum.  At
+    c = 0, q_i = i and s = n, so the weights are exactly i, 1/(k (k+1)) and
+    i/n, those of tridiag(-1, 2, -1)'s pivots (i+1)/i.
     """
 
     grid: UniformGrid
@@ -73,15 +72,10 @@ class Tridiagonal:
     def __post_init__(self):
         if self.grid.n < 2:
             raise ValueError("need at least 2 cells for one interior node")
-        if self.shift:
-            q, s = _shifted_stiffness(self.grid, self.shift)
-            ramp, back, scale = q[1:-1], 1.0 / (q[1:-1] * q[2:]), q[1:-1] / s
-        else:
-            ramp = np.arange(1.0, self.grid.n)
-            back, scale = 1.0 / (ramp * (ramp + 1.0)), ramp / self.grid.n
-        object.__setattr__(self, "_ramp", ramp)
-        object.__setattr__(self, "_back", back)
-        object.__setattr__(self, "_scale", scale)
+        q, s = _shifted_stiffness(self.grid, self.shift)
+        object.__setattr__(self, "_ramp", q[1:-1])
+        object.__setattr__(self, "_back", 1.0 / (q[1:-1] * q[2:]))
+        object.__setattr__(self, "_scale", q[1:-1] / s)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         inv_h = 1.0 / self.grid.h

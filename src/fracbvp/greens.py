@@ -94,26 +94,20 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
     stiffness of grids._shifted_stiffness, q_min q_(n-max) / (s q_n): the
     same two running sums, with the generators y and 1 - y replaced by the
     interpolants of q/q_n and of q reversed over q_n, and the result scaled
-    by q_n/s (folded into the Gauss weights).  At c = 0, q_i = i and s = n
-    give back G.
+    by q_n/s (folded into the Gauss weights).  Every c builds its weights
+    so: c = 0 is the family's limit q_i = i and s = n, whose generators
+    i/n and (n - i)/n are y and 1 - y at the nodes, and give back G.
 
     A stack of rows phi maps row by row, into `out` when it is given (one
     row per row of phi).  The running sums go through scratch rows kept from
     call to call, grown to the largest stack seen, so a loop that passes
     `out` allocates no stack-sized array here.
     """
-    if shift:
-        q, scale = _shifted_stiffness(grid, shift)
-        rising = q / q[-1]
-        weight = 0.5 * grid.h * q[-1] / scale
-        falling = rising[::-1]
-        up, down = gauss_values(rising), gauss_values(falling)
-    else:
-        rising = grid.nodes()
-        weight = 0.5 * grid.h
-        falling = 1.0 - rising
-        up = grid.gauss_points()
-        down = 1.0 - up
+    q, scale = _shifted_stiffness(grid, shift)
+    rising = q / q[-1]
+    weight = 0.5 * grid.h * q[-1] / scale
+    falling = rising[::-1]
+    up, down = gauss_values(rising), gauss_values(falling)
     # weights of each cell's first and second Gauss point
     left = [weight * up[k::2] for k in (0, 1)]
     right = [weight * down[k::2] for k in (0, 1)]

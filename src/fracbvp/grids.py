@@ -80,10 +80,10 @@ def _row_dot(a: np.ndarray, b: np.ndarray):
 
 
 def _shifted_stiffness(grid: UniformGrid, shift: float):
-    """(q, s) of the shifted stiffness A + shift M of the interior nodes; shift != 0.
+    """(q, s) of the shifted stiffness A + shift M of the interior nodes.
 
     A = tridiag(-1, 2, -1)/h is the stiffness and M = h tridiag(1, 4, 1)/6
-    the P1 mass, so A + c M = s tridiag(-1, beta, -1) with s = 1/h - c h/6
+    the P1 mass, so A + c M = s tridiag(-1, beta, -1) with s = n - c h/6
     and beta = 2 + 2 eps, eps = c h/(2 s).  q holds the n + 1 values
     q_0 = 0, q_1 = 1, q_(i+1) = beta q_i - q_(i-1): the pivots of its
     elimination are q_(i+1)/q_i, and row j of its inverse on the interior
@@ -91,18 +91,17 @@ def _shifted_stiffness(grid: UniformGrid, shift: float):
     q_i = sinh(i theta)/sinh(theta), and for c < 0, with beta = 2 cos theta,
     q_i = sin(i theta)/sin(theta).  theta is taken from eps, never from
     acosh(beta/2), which would lose eps to the rounding of beta; n theta
-    stays near sqrt|c| < pi, so every q_i > 0 for |c| < 2.
+    stays near sqrt|c| < pi, so every q_i > 0 for |c| < 2.  c = 0 is the
+    family's limit, exactly: q_i = i and s = n, the stiffness alone.
     """
-    h = grid.h
-    scale = 1.0 / h - shift * h / 6.0
-    half = 0.25 * shift * h / scale  # eps/2 = sinh^2(theta/2), or -sin^2(theta/2)
-    steps = np.arange(grid.n + 1.0)
+    scale = grid.n - shift * grid.h / 6.0
+    half = 0.25 * shift * grid.h / scale  # eps/2 = sinh^2(theta/2), or -sin^2(theta/2)
+    q = np.arange(grid.n + 1.0)  # the limit at c = 0, q_i = i
     if half > 0.0:
-        q = np.sinh(2.0 * math.asinh(math.sqrt(half)) * steps)
-    else:
-        q = np.sin(2.0 * math.asin(math.sqrt(-half)) * steps)
-    q /= q[1]
-    return q, scale
+        q = np.sinh(2.0 * math.asinh(math.sqrt(half)) * q)
+    elif half < 0.0:
+        q = np.sin(2.0 * math.asin(math.sqrt(-half)) * q)
+    return q / q[1], scale
 
 
 @dataclass(frozen=True)

@@ -147,11 +147,11 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     loop solves the shifted mild form u + K_c (f(., u) - c u) = rhs_c: apply_k
     and rhs must then be K_c = (I + c K)^-1 K and rhs_c = (I + c K)^-1 rhs,
     the same equation.  The reaction is still called once per step, and the
-    loop subtracts c times the Gauss values itself.  As the residual of the
-    unshifted equation is (I + c K) times the loop's, and K has L2 norm
-    <= 1/pi^2, a row stops at a loop residual <= tol / (1 + max(c, 0)/pi^2),
-    which keeps ||u + K f(., u) - rhs|| <= tol.  With c = 0 none of this
-    runs.
+    loop subtracts c times the Gauss values itself; with c = 0 that
+    subtraction does not run.  As the residual of the unshifted equation is
+    (I + c K) times the loop's, and K has L2 norm <= 1/pi^2, a row stops at
+    a loop residual <= tol / (1 + max(c, 0)/pi^2), which keeps
+    ||u + K f(., u) - rhs|| <= tol; at c = 0 that bound is tol itself.
 
     The step is Anderson acceleration of depth ANDERSON_DEPTH with mixing
     theta, the reaction's step_size (1 for a Lipschitz reaction), on the
@@ -192,34 +192,35 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     gauss = grid.gauss_points()
     theta = problem.reaction.step_size
     shift = problem.reaction.shift
-    if shift:
-        # the equation's residual is (I + c K) times the loop's, and K has
-        # L2 norm <= 1/pi^2, so this bound on the loop's keeps it within tol
-        tol = tol / (1.0 + max(shift, 0.0) / math.pi ** 2)
+    # the equation's residual is (I + c K) times the loop's, and K has L2
+    # norm <= 1/pi^2, so this bound on the loop's keeps it within tol
+    tol = tol / (1.0 + max(shift, 0.0) / math.pi ** 2)
     depth = ANDERSON_DEPTH
     size, width = rhs_rows.shape
     # Slot j % depth of a history holds the differences between iterates j
     # and j + 1: filled with iterate j's terms at step j, completed at step
     # j + 1, overwritten at step j + depth.  The histories, the scratch
     # buffer (Gauss values, consumed by K, then -theta f and the history's
-    # combination) and the defects are one allocation, made before
-    # the iterates: as separate arrays, freed and regrown on every solve,
-    # they cost a Green's study some 50 times the minor page faults per op.
+    # combination), the defects and the iterates and right sides of the
+    # rows still going are one allocation, made before the result: as
+    # separate arrays, freed and regrown on every solve, they cost a
+    # Green's study some 50 times the minor page faults per op.
     history = size * depth * width
     spare = size * max(width, 2 * grid.n)
-    work = np.zeros(2 * history + spare + size * width)
+    work = np.zeros(2 * history + spare + 3 * size * width)
     f_history = work[:history].reshape(size, depth, width)  # differences of the residuals f
     # differences of the damped iterates u + theta f
     g_history = work[history:2 * history].reshape(size, depth, width)
     scratch = work[2 * history:2 * history + spare]
-    defects = work[2 * history + spare:].reshape(size, width)
+    defects, iterates, targets = work[2 * history + spare:].reshape(3, size, width)
+    targets[:] = rhs_rows
     gram = np.zeros((depth, depth, size))  # the rows last, for the elimination
     u = np.zeros_like(rhs_rows)
     rows = np.arange(size)
     residuals = np.full(size, math.inf)
     iterations = np.zeros(size, dtype=int)
     # iterates, right sides and last residuals of the rows in `rows`
-    active, target, residual = u, rhs_rows, residuals.copy()
+    active, target, residual = iterates, targets, residuals.copy()
     for iteration in range(max_iters + 1):
         count = len(rows)
         # d = u + K f(., u) - rhs is the residual f negated
@@ -253,17 +254,15 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
             u[rows] = active
             residuals[rows] = residual
             iterations[rows] = iteration
-            rows, active, target, residual, last = (
-                array[going] for array in (rows, active, target, residual, last))
-            # the defects move up within their buffer, so no copy outlives the step
-            defects[:len(rows)] = d[going]
-            d = defects[:len(rows)]
+            rows, residual, last = (array[going] for array in (rows, residual, last))
             gram = gram[..., going]
-            for history in (f_history, g_history):
-                history[:len(rows)] = history[:count][going]
+            # the kept rows move up within their buffers, so no copy outlives the step
+            for buffer in (iterates, targets, defects, f_history, g_history):
+                buffer[:len(rows)] = buffer[:count][going]
             count = len(rows)
             if not count:
                 return Solution(grid, u.reshape(np.shape(rhs)), residuals, iterations)
+            active, target, d = iterates[:count], targets[:count], defects[:count]
         if iteration == max_iters:
             break
         df, dg = f_history[:count], g_history[:count]

@@ -217,6 +217,16 @@ class TestConverge:
         assert a["config"]["n0"] == 8
         assert "fem" in a["results"]
 
+    def test_factorization_error_exits_numerical(self, capsys, monkeypatch):
+        def fail(n, hurst):
+            raise fracbvp.FactorizationError(f"forced for n={n}")
+
+        monkeypatch.setattr(fracbvp.noise, "_cholesky_factor", fail)
+        code, _, err = _run(capsys, ["converge", "--hurst", "0.25", "--ladder", "8:2",
+                                     "--samples", "4", "--seed", "5"])
+        assert code == 2
+        assert "numerical failure: seed 5, cholesky sampler, reference n=64" in err
+
     def test_thread_flag_does_not_change_results(self, capsys):
         base = ["converge", "--hurst", "0.25", "--ladder", "8:2", "--samples",
                 "6", "--seed", "11", "--format", "json"]

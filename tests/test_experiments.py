@@ -28,7 +28,8 @@ from fracbvp import (
 )
 from fracbvp import experiments
 from fracbvp import fem as fem_module
-from fracbvp.errors import NonConvergenceError
+from fracbvp import noise as noise_module
+from fracbvp.errors import FactorizationError, NonConvergenceError
 from fracbvp.experiments import _coupled_paths, kernel_pair_sum_quadrature
 from fracbvp.noise import StepFunction, aggregate_increments, singular_kernel_pair_sum
 from fracbvp.problem import damped_fixed_point
@@ -145,6 +146,20 @@ class TestConvergenceStudy:
         config = StudyConfig(hurst=0.3, reaction="sqrt-clip", forcing="one", n0=8,
                              levels=3, samples=40, seed=7, solver="both")
         run_convergence_study(config)
+
+    @pytest.mark.parametrize("sampler, factor", [("cholesky", "_cholesky_factor"),
+                                                 ("davies-harte", "_circulant_scale")])
+    def test_factorization_error_names_the_study(self, monkeypatch, sampler, factor):
+        def fail(n, hurst):
+            raise FactorizationError(f"forced for n={n}")
+
+        monkeypatch.setattr(noise_module, factor, fail)
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=2,
+                             samples=4, seed=77, sampler=sampler)
+        with pytest.raises(FactorizationError) as excinfo:
+            run_convergence_study(config)
+        assert str(excinfo.value) == f"seed 77, {sampler} sampler, reference n=64: forced for n=64"
+        assert isinstance(excinfo.value.__cause__, FactorizationError)
 
     def test_fine_chunk_is_released_before_the_level_solves(self, monkeypatch):
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,

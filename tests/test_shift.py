@@ -15,7 +15,7 @@ from fracbvp import (GridFunction, HurstIndex, IncrementPath, IncrementSampler, 
                      solve_nonlinear_fem)
 from fracbvp import fem, greens, problem
 from fracbvp.fem import Tridiagonal, assemble_load
-from fracbvp.grids import gauss_values
+from fracbvp.grids import _shifted_stiffness, gauss_values
 
 from oracles import gauss_weight_matrix, stiffness_bands
 
@@ -93,10 +93,11 @@ class TestShiftedGreensOperator:
         interpolate = gauss_values(np.eye(grid.n + 1)).T  # nodal -> Gauss values
         return np.linalg.solve(np.eye(grid.n + 1) + c * weights @ interpolate, weights)
 
-    @pytest.mark.parametrize("c", SHIFTS)
+    # on 49 and 93 cells 1/(1/n) != n and linspace != arange/n
+    @pytest.mark.parametrize("c", [*SHIFTS, 0.0])
     @pytest.mark.parametrize("module, n", [
-        *[pytest.param(greens, n, id=str(n)) for n in (1, 2, 3, 16, 128, 512)],
-        *[pytest.param(fem, n, id=f"fem-{n}") for n in (2, 3, 16, 128, 512)],
+        *[pytest.param(greens, n, id=str(n)) for n in (1, 2, 3, 16, 49, 93, 128, 512)],
+        *[pytest.param(fem, n, id=f"fem-{n}") for n in (2, 3, 16, 49, 93, 128, 512)],
     ])
     def test_apply_matches_dense_oracle(self, module, n, c):
         grid = UniformGrid(n)
@@ -106,6 +107,30 @@ class TestShiftedGreensOperator:
         assert got.shape == (3, n + 1)
         assert np.abs(got - exact).max() <= 1e-13 * max(np.abs(exact).max(), 1e-300)
         assert np.all(got[:, [0, -1]] == 0.0)
+
+
+class TestZeroShiftIsTheLimit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 49, 93, 512])
+    def test_zero_shift_gives_the_stiffness_exactly(self, n):
+        q, s = _shifted_stiffness(UniformGrid(n), 0.0)
+        assert np.array_equal(q, np.arange(n + 1.0))
+        assert s == float(n)
+
+    @pytest.mark.parametrize("c", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 49, 93, 512])
+    def test_weights_are_continuous_at_zero(self, n, c):
+        q, _ = _shifted_stiffness(UniformGrid(n), c)
+        assert np.allclose(q, np.arange(n + 1.0), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("c", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("module, n", [(greens, 1), (greens, 49), (fem, 2), (fem, 49),
+                                           (greens, 512), (fem, 512)])
+    def test_operators_are_continuous_at_zero(self, module, n, c):
+        grid = UniformGrid(n)
+        unit = np.eye(2 * n)  # every Gauss value alone: K's columns
+        limit = module._nodal_apply(grid, 0.0)(unit)
+        got = module._nodal_apply(grid, c)(unit)
+        assert np.abs(got - limit).max() <= 1e-8 * np.abs(limit).max()
 
 
 def _paths(n, rows=3, seed=5):
