@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -80,14 +79,24 @@ class StudyConfig:
 
     def __post_init__(self):
         HurstIndex(self.hurst)  # range check
+        for name in ("n0", "levels", "ref_extra", "samples", "seed", "max_iters"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n0 < 2:
             raise ValueError("n0 must be >= 2 (the FEM grid needs interior nodes)")
-        if self.levels < 1:
-            raise ValueError("need at least one level")
+        if self.levels < 2:
+            raise ValueError("levels must be >= 2 (every study fits a rate)")
         if self.ref_extra < 1:
-            raise ValueError("the reference grid must be strictly finer")
+            raise ValueError("ref_extra must be >= 1 (the reference grid must be strictly finer)")
         if self.samples < 2:
             raise ValueError("need at least 2 samples for error bars")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
         if self.solver not in ("fem", "greens", "both"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.sampler not in ("cholesky", "davies-harte"):
@@ -132,8 +141,8 @@ def estimate_rate(hs, values) -> tuple:
     values = np.asarray(values, dtype=float)
     if len(hs) != len(values) or len(hs) < 2:
         raise ValueError("need at least two (h, value) pairs")
-    if np.any(values <= 0.0) or np.any(hs <= 0.0):
-        raise ValueError("rate estimation needs positive values")
+    if not np.all((hs > 0.0) & (hs < np.inf) & (values > 0.0) & (values < np.inf)):
+        raise ValueError("rate estimation needs finite, positive values")
     x, y = np.log2(hs), np.log2(values)
     xc = x - x.mean()
     denom = float(np.dot(xc, xc))
@@ -185,8 +194,8 @@ def _blocks(rows: int, n: int) -> list:
 def _chunk_rows(fine_n: int, level_ns) -> int:
     """Samples drawn together on paths with fine_n cells coupled to level_ns.
 
-    As many as _CHUNK_BYTES of fine increments hold, but no more than the
-    coarsest level solves in one block, and at least one fine-grid block.
+    As many as _CHUNK_BYTES of fine increments hold, capped at one block of the
+    coarsest level, and at least one fine-grid block, at any thread count.
     """
     return max(_block_rows(fine_n),
                min(_block_rows(min(level_ns)), _CHUNK_BYTES // (8 * fine_n)))
@@ -231,9 +240,8 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
 
     Sample m draws one path on the grid with fine_n cells from its own
     generator default_rng([seed, m]).  Consecutive samples form chunks of
-    _chunk_rows(fine_n, level_ns) rows, or of fewer, down to one fine-grid
-    block, so that every thread gets a chunk; a Cholesky chunk is rounded up
-    to whole sampler tiles (_TILE rows), so its boundaries fall on tile
+    _chunk_rows(fine_n, level_ns) rows, up to threads of them at a time;
+    Cholesky chunks round up to whole _TILE-row sampler tiles, ending on tile
     boundaries.  A chunk is drawn as one block (IncrementSampler.sample with
     one generator per sample), aggregated onto every level, and contributes
     the rows statistic(paths), one per sample: paths maps every grid n the
@@ -254,8 +262,7 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
     except FactorizationError as exc:
         raise FactorizationError(f"seed {seed}, {method} sampler, reference n={fine_n}: "
                                  f"{exc}") from exc
-    rows = min(_chunk_rows(fine_n, level_ns),
-               max(_block_rows(fine_n), -(-samples // threads)))
+    rows = _chunk_rows(fine_n, level_ns)
     if method == "cholesky":
         rows = -(-rows // _TILE) * _TILE
 
@@ -272,9 +279,11 @@ def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: 
                                       exc.residual, exc.iterations) from exc
 
     starts = range(0, samples, rows)
-    if threads == 1:
+    workers = min(threads, len(starts))
+    if workers == 1:
         return np.concatenate([worker(start) for start in starts])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(worker, starts)))
 
 
@@ -308,9 +317,9 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     solver(s), and records exact L2 distances.  Expected rates: H + 1/2 for
     Lipschitz reactions, at least H/2 + 1/4 for monotone bounded ones.
 
-    threads is execution context, not part of the study: per-sample RNG
-    streams and index-ordered accumulation make the report byte-identical
-    (wall time aside) at any thread count.
+    threads bounds how many chunks run at once and is not part of the study:
+    per-sample RNG streams and index-ordered accumulation make the report
+    byte-identical (wall time aside) at any thread count.
     """
     started = time.perf_counter()
     problem = config.problem()

@@ -1,6 +1,9 @@
 """Monte Carlo harness: coupling, rate fits, determinism, verification checks."""
 
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -35,6 +38,41 @@ from fracbvp.noise import StepFunction, aggregate_increments, singular_kernel_pa
 from fracbvp.problem import damped_fixed_point
 
 
+@pytest.fixture
+def drawn_chunks(monkeypatch):
+    """Rows of every chunk a study draws, in the order they are drawn."""
+    rows, coupled_paths = [], experiments._coupled_paths
+
+    def spy(fine, level_ns):
+        rows.append(len(fine.increments))
+        return coupled_paths(fine, level_ns)
+
+    monkeypatch.setattr(experiments, "_coupled_paths", spy)
+    return rows
+
+
+def _chunks_of(monkeypatch, rows: int, fine_n: int):
+    """Make studies on fine_n cells draw chunks of `rows` rows, one fine block each."""
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * fine_n * rows)
+    monkeypatch.setattr(experiments, "_TILE", 1)  # not rounded up to 32-row sampler tiles
+
+
+_POOL_IMPORT_CHECK = """
+import sys
+from fracbvp import StudyConfig, experiments, run_convergence_study
+
+print("concurrent.futures" in sys.modules)
+config = StudyConfig(hurst=0.25, n0=4, levels=2, samples=8, seed=1)
+run_convergence_study(config, threads=8)
+print("concurrent.futures" in sys.modules)
+experiments._CHUNK_BYTES, experiments._TILE = 1, 1  # chunks of one two-row fine block
+experiments._BLOCK_BYTES = 16 * config.reference_n * 2
+run_convergence_study(config, threads=2)
+print("concurrent.futures" in sys.modules)
+"""
+
+
 class TestEstimateRate:
     def test_exact_power_law(self):
         hs = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
@@ -64,6 +102,18 @@ class TestEstimateRate:
         with pytest.raises(ValueError):
             estimate_rate([0.5, 0.25, 0.125], [1.0, 0.5])
 
+    @pytest.mark.parametrize("hs, values", [
+        ([0.5, 0.25], [1.0, np.nan]),
+        ([0.5, 0.25], [np.inf, 1.0]),
+        ([0.5, 0.25], [1.0, 0.0]),
+        ([0.5, np.nan], [1.0, 0.5]),
+        ([np.inf, 0.25], [1.0, 0.5]),
+        ([0.5, -0.25], [1.0, 0.5]),
+    ])
+    def test_rejects_values_that_are_not_finite_and_positive(self, hs, values):
+        with pytest.raises(ValueError, match="finite, positive"):
+            estimate_rate(hs, values)
+
 
 class TestStudyConfig:
     def test_ladder_and_reference(self):
@@ -84,9 +134,22 @@ class TestStudyConfig:
         {"hurst": 0.25, "samples": 1},
         {"hurst": 0.25, "solver": "spectral"},
         {"hurst": 0.25, "sampler": "hosking"},
+        {"hurst": 0.25, "samples": 10.5},
+        {"hurst": 0.25, "n0": 8.0},
+        {"hurst": 0.25, "ref_extra": 2.0},
+        {"hurst": 0.25, "max_iters": 50.0},
+        {"hurst": 0.25, "seed": -1},
+        {"hurst": 0.25, "seed": True},
+        {"hurst": 0.25, "levels": 1},
+        {"hurst": 0.25, "levels": True},
+        {"hurst": 0.25, "max_iters": -1},
+        {"hurst": 0.25, "tol": np.nan},
+        {"hurst": 0.25, "tol": -1e-12},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # rejected when built, before any sampler or solve, naming the field
+        field = next((name for name in kwargs if name != "hurst"), "Hurst")
+        with pytest.raises(ValueError, match=field):
             StudyConfig(**kwargs)
 
     def test_thread_count_is_not_study_state(self):
@@ -189,20 +252,24 @@ class TestConvergenceStudy:
         report = run_convergence_study(config)
         assert set(report.results) == {"fem", "greens"}
 
-    def test_thread_count_invisible_in_report(self):
+    def test_thread_count_invisible_in_report(self, monkeypatch, drawn_chunks):
         # identical config must give byte-identical reports at any thread
-        # count; only wall time may differ
+        # count; only wall time may differ.  Chunks of four rows give the
+        # pool three chunks to run at once.
+        _chunks_of(monkeypatch, 4, fine_n=64)
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one",
                              n0=8, levels=3, ref_extra=1, samples=12, seed=9)
         serial = run_convergence_study(config, threads=1)
         pooled = run_convergence_study(config, threads=4)
+        assert drawn_chunks == [4] * 6
         a = json.dumps(serial.to_dict(include_timing=False), sort_keys=True)
         b = json.dumps(pooled.to_dict(include_timing=False), sort_keys=True)
         assert a == b
 
-    def test_shared_greens_operators_invisible_across_threads(self):
-        # the threads share the problem and the sampler; more threads than
-        # cores and frequent switches give interleavings a chance
+    def test_shared_greens_operators_invisible_across_threads(self, monkeypatch, drawn_chunks):
+        # the threads share the problem and the sampler; four chunks, more
+        # threads than cores and frequent switches give interleavings a chance
+        _chunks_of(monkeypatch, 2, fine_n=64)
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,
                              ref_extra=1, samples=8, seed=4, solver="greens")
         serial = run_convergence_study(config, threads=1)
@@ -213,6 +280,7 @@ class TestConvergenceStudy:
             crowded = run_convergence_study(config, threads=6)
         finally:
             sys.setswitchinterval(interval)
+        assert drawn_chunks == [2] * 12
         a = json.dumps(serial.to_dict(include_timing=False), sort_keys=True)
         b = json.dumps(pooled.to_dict(include_timing=False), sort_keys=True)
         c = json.dumps(crowded.to_dict(include_timing=False), sort_keys=True)
@@ -392,22 +460,34 @@ class TestBlocks:
         assert rows[128] == [128, 72]
         assert rows[512] == [32] * 6 + [8]
 
-    @pytest.mark.parametrize("threads, chunks", [(1, [200]), (4, [64] * 3 + [8]),
-                                                 (8, [32] * 6 + [8])])
-    def test_every_thread_gets_a_chunk(self, monkeypatch, threads, chunks):
-        rows, coupled_paths = [], experiments._coupled_paths
+    @pytest.mark.parametrize("case, thread_counts, chunks", [
+        # the criterion-6 study: 200 paths of 512 cells fit in one chunk
+        pytest.param(dict(n0=16, levels=4, ref_extra=2, samples=200, seed=2024),
+                     (1, 4, 8), [200], id="criterion-6"),
+        # 32 Davies-Harte paths of 4096 cells fill a chunk's 1 MiB, so memory
+        # alone splits 70 samples
+        pytest.param(dict(n0=16, levels=2, ref_extra=7, samples=70, seed=3,
+                          sampler="davies-harte"), (1, 3), [32, 32, 6], id="memory-split"),
+    ])
+    def test_chunks_do_not_depend_on_threads(self, drawn_chunks, case, thread_counts, chunks):
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", solver="fem", **case)
+        reports = set()
+        for threads in thread_counts:
+            drawn_chunks.clear()
+            report = run_convergence_study(config, threads)
+            reports.add(json.dumps(report.to_dict(include_timing=False), sort_keys=True))
+            assert sorted(drawn_chunks, reverse=True) == chunks, threads
+        assert len(reports) == 1
 
-        def spy(ref_path, level_ns):
-            rows.append(len(ref_path.increments))
-            return coupled_paths(ref_path, level_ns)
-
-        monkeypatch.setattr(experiments, "_coupled_paths", spy)
-        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
-                             ref_extra=2, samples=200, seed=2024, solver="fem")
-        run_convergence_study(config, threads)
-        # no smaller than one reference block, and as many as the threads allow
-        # once rounded up to whole 32-row Cholesky tiles (ceil(200 / 4) = 50 -> 64)
-        assert sorted(rows, reverse=True) == chunks
+    def test_thread_pool_is_imported_only_when_it_runs(self):
+        src = str(pathlib.Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        child = subprocess.run([sys.executable, "-c", _POOL_IMPORT_CHECK], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        # after the import, after one chunk at threads=8, after four chunks at threads=2
+        assert child.stdout.split() == ["False", "False", "True"]
 
     def test_study_memory_does_not_grow_with_the_sample_count(self):
         base = dict(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=2, ref_extra=5,

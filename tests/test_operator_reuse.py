@@ -53,8 +53,8 @@ def _span_count(tracer, name):
 
 
 def _solves(samples, fine_n, grids):
-    """Solves of a single-thread study: per chunk, ceil(chunk / _block_rows(n)) on every grid n."""
-    rows = min(_chunk_rows(fine_n, grids), max(_block_rows(fine_n), samples))
+    """Solves of a study: per chunk, ceil(chunk / _block_rows(n)) on every grid n."""
+    rows = _chunk_rows(fine_n, grids)
     chunks = [min(rows, samples - start) for start in range(0, samples, rows)]
     return sum(-(-chunk // _block_rows(n)) for chunk in chunks for n in grids)
 
