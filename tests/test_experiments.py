@@ -479,6 +479,28 @@ class TestBlocks:
             assert sorted(drawn_chunks, reverse=True) == chunks, threads
         assert len(reports) == 1
 
+    @pytest.mark.parametrize("threads, chunks", [(1, [200]), (4, [64] * 3 + [8]),
+                                                 (8, [32] * 6 + [8])])
+    def test_every_thread_gets_a_chunk(self, monkeypatch, drawn_chunks, threads, chunks):
+        # the criterion-6 study split into chunks of chunks[0] rows; the pool
+        # starts no more threads than there are chunks, and none at one thread
+        import concurrent.futures
+
+        pools = []
+
+        class SpyPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+        _chunks_of(monkeypatch, chunks[0], fine_n=512)
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                             ref_extra=2, samples=200, seed=2024, solver="fem")
+        run_convergence_study(config, threads)
+        assert sorted(drawn_chunks, reverse=True) == chunks
+        assert pools == ([] if threads == 1 else [min(threads, len(chunks))])
+
     def test_thread_pool_is_imported_only_when_it_runs(self):
         src = str(pathlib.Path(experiments.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
