@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FactorizationError, NonConvergenceError
+from .errors import FactorizationError, GridMismatchError, NonConvergenceError
 from .fem import ritz_projection, solve_nonlinear_fem
 from .greens import convolution_error_second_moment, solve_hammerstein
 from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
@@ -162,9 +162,12 @@ def _coupled_paths(fine: IncrementPath, level_ns) -> dict:
 
     The fine entry is `fine` itself; every other level sums the fine
     increments directly, so coarse increments are exact sums of fine ones.
+    A level that does not divide the fine grid raises GridMismatchError.
     """
     paths = {fine.grid.n: fine}
     for n in level_ns:
+        if fine.grid.n % n:
+            raise GridMismatchError(f"level n={n} does not divide the fine grid n={fine.grid.n}")
         if n != fine.grid.n:
             paths[n] = aggregate_increments(fine, fine.grid.n // n)
     return paths
@@ -234,36 +237,38 @@ def _by_blocks(measure: Callable, n: int, *functions: GridFunction) -> np.ndarra
         for block in _blocks(len(functions[0].values), n)])
 
 
-def _coupled_samples(statistic: Callable, fine_n: int, level_ns, hurst, method: str,
-                     samples: int, seed: int, threads: int) -> np.ndarray:
-    """Per-sample statistics of coupled paths, stacked in sample order.
+def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
+                     threads: int) -> np.ndarray:
+    """Per-sample statistics of the config's coupled paths, stacked in sample order.
 
-    Sample m draws one path on the grid with fine_n cells from its own
-    generator default_rng([seed, m]).  Consecutive samples form chunks of
-    _chunk_rows(fine_n, level_ns) rows, up to threads of them at a time;
-    Cholesky chunks round up to whole _TILE-row sampler tiles, ending on tile
-    boundaries.  A chunk is drawn as one block (IncrementSampler.sample with
-    one generator per sample), aggregated onto every level, and contributes
-    the rows statistic(paths), one per sample: paths maps every grid n the
-    chunk is coupled to onto its chunk of paths, the fine grid onto the
-    drawn chunk itself, and the statistic solves every grid n in blocks of
-    _block_rows(n) rows (_solve).  The dict holds the only reference to the
-    drawn chunk, so a statistic that pops its fine entry can release it.
-    Every row is computed as it would be alone and chunks are collected in
-    index order, so the result depends neither on threads nor on the chunk
-    or block size.  A stall raises NonConvergenceError naming the seed, the
-    sample, the level and the solver, and a failed factorization of the
-    sampler FactorizationError naming the seed, the sampler and fine_n.
+    Sample m < config.samples draws one path on the grid with fine_n cells by
+    config.sampler, from its own generator default_rng([config.seed, m]).
+    Consecutive samples form chunks of _chunk_rows(fine_n, config.level_ns())
+    rows, up to threads of them at a time; Cholesky chunks round up to whole
+    _TILE-row sampler tiles, ending on tile boundaries.  A chunk is drawn as
+    one block (IncrementSampler.sample with one generator per sample),
+    aggregated onto every level, and contributes the rows statistic(paths),
+    one per sample: paths maps every grid n the chunk is coupled to onto its
+    chunk of paths, the fine grid onto the drawn chunk itself, and the
+    statistic solves every grid n in blocks of _block_rows(n) rows (_solve).
+    The dict holds the only reference to the drawn chunk, so a statistic that
+    pops its fine entry can release it.  Every row is computed as it would be
+    alone and chunks are collected in index order, so the result depends
+    neither on threads nor on the chunk or block size.  A stall raises
+    NonConvergenceError naming the seed, the sample, the level and the
+    solver, and a failed factorization of the sampler FactorizationError
+    naming the seed, the sampler and fine_n.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    level_ns, samples, seed = config.level_ns(), config.samples, config.seed
     try:
-        sampler = IncrementSampler(UniformGrid(fine_n), hurst, method)
+        sampler = IncrementSampler(UniformGrid(fine_n), config.hurst, config.sampler)
     except FactorizationError as exc:
-        raise FactorizationError(f"seed {seed}, {method} sampler, reference n={fine_n}: "
-                                 f"{exc}") from exc
+        raise FactorizationError(f"seed {seed}, {config.sampler} sampler, "
+                                 f"reference n={fine_n}: {exc}") from exc
     rows = _chunk_rows(fine_n, level_ns)
-    if method == "cholesky":
+    if config.sampler == "cholesky":
         rows = -(-rows // _TILE) * _TILE
 
     def worker(start: int) -> np.ndarray:
@@ -339,8 +344,7 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
                                  for u in solutions], axis=-1))
         return np.stack(out, axis=1)  # (rows, solvers, levels)
 
-    rows = _coupled_samples(squared_errors, config.reference_n, level_ns, config.hurst,
-                            config.sampler, config.samples, config.seed, threads)
+    rows = _coupled_samples(squared_errors, config, config.reference_n, threads)
     results = {solver: _rate_block(level_ns, rows[:, i]) for i, solver in enumerate(solvers)}
     return ConvergenceReport(config, results, time.perf_counter() - started)
 
@@ -367,8 +371,7 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
                                               _solve(config.solver, problem, paths[n], **options)))
                          for n in level_ns], axis=-1)
 
-    rows = _coupled_samples(h1_squared, max(level_ns), level_ns, config.hurst,
-                            config.sampler, config.samples, config.seed, threads)
+    rows = _coupled_samples(h1_squared, config, max(level_ns), threads)
     means = rows.mean(axis=0)
     stderr = rows.std(axis=0, ddof=1) / math.sqrt(config.samples)
     hs = [1.0 / n for n in level_ns]
@@ -407,8 +410,7 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
             out.append(np.square(gaps))
         return np.stack(out, axis=-1)
 
-    rows = _coupled_samples(projection_gaps, max(level_ns), level_ns, config.hurst,
-                            config.sampler, config.samples, config.seed, threads)
+    rows = _coupled_samples(projection_gaps, config, max(level_ns), threads)
     return _rate_block(level_ns, rows)
 
 
@@ -576,29 +578,38 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
     quadrature the fixed-point equations coincide and the gap bottoms out at
     the iteration tolerance, not at a power of h.  The check passes when the
     worst level's RMS gap stays within that floor, 100 tol.
+
+    It runs the StudyConfig of solver "both" on the doubling ladder level_ns
+    through the studies' driver; what that config refuses raises ValueError.
     """
-    hurst = _as_hurst(hurst)
-    problem = ProblemSpec.from_labels(hurst, reaction, forcing)
+    ladder = list(level_ns)
+    if not ladder:
+        raise ValueError("level_ns must not be empty")
+    config = StudyConfig(_as_hurst(hurst).value, reaction, forcing, n0=ladder[0],
+                         levels=len(ladder), samples=samples, seed=seed, solver="both", tol=tol)
+    level_ns = config.level_ns()
+    if level_ns != ladder:
+        raise ValueError(f"level_ns must be a doubling ladder n0, 2 n0, ..., got {ladder}")
+    problem, options = config.problem(), dict(tol=config.tol, max_iters=config.max_iters)
 
     def squared_gaps(paths: dict) -> np.ndarray:
         out = []
         for n in level_ns:
-            fem = _solve("fem", problem, paths[n], tol=tol)
-            mild = _solve("greens", problem, paths[n], tol=tol)
+            fem = _solve("fem", problem, paths[n], **options)
+            mild = _solve("greens", problem, paths[n], **options)
             out.append(np.square(_by_blocks(discrete_l2_error, n, fem, mild)))
         return np.stack(out, axis=-1)
 
-    rows = _coupled_samples(squared_gaps, max(level_ns), level_ns, hurst, "cholesky",
-                            samples, seed, threads)
+    rows = _coupled_samples(squared_gaps, config, max(level_ns), threads)
     worst = max(lv["rms_error"] for lv in _rms_levels(level_ns, rows))
     floor = 100.0 * tol
     return Verdict(
-        check=f"solver-agreement[H={hurst.value:g},f={reaction}]",
+        check=f"solver-agreement[H={config.hurst:g},f={reaction}]",
         target=floor,
         estimate=worst,
         statistic=worst / floor,
         passed=worst <= floor,
-        details=(f"{samples} coupled samples, levels {list(level_ns)}; worst RMS gap "
+        details=(f"{samples} coupled samples, levels {level_ns}; worst RMS gap "
                  f"against the solver-tolerance floor (nodal equivalence)"),
     )
 

@@ -56,11 +56,10 @@ class Tridiagonal:
 
     M is the P1 mass matrix h tridiag(1, 4, 1)/6, so with a shift c the
     matrix is the Galerkin one of -u'' + c u; c = 0 is the stiffness alone.
-    Vectors are the last axis: matvec and solve map a stack of rows row by
-    row.  A + c M = s tridiag(-1, beta, -1) has the pivots q_(i+1)/q_i in
-    closed form (grids._shifted_stiffness), so with weights set up once per
-    grid the solve is two running sums and no factorization: the forward
-    sweep is z = cumsum(q_i b), the back sweep
+    A + c M = s tridiag(-1, beta, -1) has the pivots q_(i+1)/q_i in closed
+    form (grids._shifted_stiffness), so with weights set up once per grid the
+    solve is two running sums and no factorization: the forward sweep is
+    z = cumsum(q_i b), the back sweep
     x_i = (q_i/s) sum_{k >= i} z_k / (q_k q_(k+1)), a reversed cumsum.  At
     c = 0, q_i = i and s = n, so the weights are exactly i, 1/(k (k+1)) and
     i/n, those of tridiag(-1, 2, -1)'s pivots (i+1)/i.
@@ -76,14 +75,6 @@ class Tridiagonal:
         object.__setattr__(self, "_ramp", q[1:-1])
         object.__setattr__(self, "_back", 1.0 / (q[1:-1] * q[2:]))
         object.__setattr__(self, "_scale", q[1:-1] / s)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        inv_h = 1.0 / self.grid.h
-        out = (2.0 * inv_h + self.shift * self.grid.h * (2.0 / 3.0)) * v
-        off = inv_h - self.shift * self.grid.h / 6.0
-        out[..., 1:] -= off * v[..., :-1]
-        out[..., :-1] -= off * v[..., 1:]
-        return out
 
     def solve(self, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
         """The stiffness solve by two running sums along the last axis.
@@ -177,18 +168,15 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
 def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
     """Direct stiffness solve of the linear problem -u'' = load functional.
 
-    The residual is the L2 norm of the correction A^-1 (load - A x), the
-    step the nonlinear solver would take next.
+    One stiffness solve with zero boundary values, a stack of loads row by
+    row.  The loop's residual for f = 0, u + K_h 0 - A^-1 load, is exactly 0
+    there, so every row reports residual 0.0 and 0 iterations.
     """
-    stiffness = Tridiagonal(grid)
-    load = np.asarray(load, dtype=float)
-    interior = stiffness.solve(load)
-    if not np.all(np.isfinite(interior)):
+    values = _with_boundary(Tridiagonal(grid).solve(load))
+    if not np.all(np.isfinite(values)):
         raise FloatingPointError("stiffness solve produced non-finite values")
-    correction = stiffness.solve(load - stiffness.matvec(interior))
-    residuals = np.atleast_1d(GridFunction(grid, _with_boundary(correction)).l2_norm())
-    return Solution(grid, _with_boundary(interior), residuals,
-                    np.zeros(len(residuals), dtype=int))
+    rows = values.shape[:-1] or (1,)
+    return Solution(grid, values, np.zeros(rows), np.zeros(rows, dtype=int))
 
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,

@@ -60,6 +60,25 @@ def stiffness_bands(grid):
     return bands
 
 
+def shifted_bands(grid, c):
+    """A + c M in the layout of stiffness_bands, M = h tridiag(1, 4, 1)/6 the P1 mass."""
+    bands = stiffness_bands(grid)
+    mass = grid.h / 6.0
+    bands[0, 1:] += c * mass
+    bands[2, :-1] += c * mass
+    bands[1] += c * 4.0 * mass
+    return bands
+
+
+def band_matvec(bands, x):
+    """The matrix in the layout of stiffness_bands times x along the last axis,
+    row by row for a stack."""
+    out = bands[1] * x
+    out[..., 1:] += bands[2, :-1] * x[..., :-1]
+    out[..., :-1] += bands[0, 1:] * x[..., 1:]
+    return out
+
+
 def fbm_cov(x, y, H):
     return 0.5 * (np.abs(x) ** (2 * H) + np.abs(y) ** (2 * H)
                   - np.abs(np.asarray(x) - np.asarray(y)) ** (2 * H))

@@ -236,6 +236,30 @@ class TestConverge:
         a.pop("wall_time"), b.pop("wall_time")
         assert a == b
 
+    def test_thread_flag_does_not_change_results_over_many_chunks(self, capsys, monkeypatch):
+        # chunks of two rows, one block of the 64-cell reference each, so that
+        # --threads 3 runs the six samples as three chunks in a pool
+        experiments = fracbvp.experiments
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 64 * 2)
+        monkeypatch.setattr(experiments, "_TILE", 1)
+        chunks, coupled_paths = [], experiments._coupled_paths
+
+        def spy(fine, level_ns):
+            chunks.append(len(fine.increments))
+            return coupled_paths(fine, level_ns)
+
+        monkeypatch.setattr(experiments, "_coupled_paths", spy)
+        base = ["converge", "--hurst", "0.25", "--ladder", "8:2", "--samples",
+                "6", "--seed", "11", "--format", "json"]
+        _, serial, _ = _run(capsys, base + ["--threads", "1"])
+        chunks.clear()
+        _, pooled, _ = _run(capsys, base + ["--threads", "3"])
+        assert len(chunks) >= 3
+        a, b = json.loads(serial), json.loads(pooled)
+        a.pop("wall_time"), b.pop("wall_time")
+        assert a == b
+
 
 class TestVerify:
     def test_small_battery_passes(self, capsys):

@@ -32,9 +32,10 @@ from fracbvp import (
 from fracbvp import experiments
 from fracbvp import fem as fem_module
 from fracbvp import noise as noise_module
-from fracbvp.errors import FactorizationError, NonConvergenceError
+from fracbvp.errors import FactorizationError, GridMismatchError, NonConvergenceError
 from fracbvp.experiments import _coupled_paths, kernel_pair_sum_quadrature
-from fracbvp.noise import StepFunction, aggregate_increments, singular_kernel_pair_sum
+from fracbvp.noise import (IncrementPath, StepFunction, aggregate_increments,
+                           singular_kernel_pair_sum)
 from fracbvp.problem import damped_fixed_point
 
 
@@ -189,6 +190,13 @@ class TestCoupling:
             assert chained.grid.n == n
             assert np.allclose(chained.increments, paths[n].increments,
                                rtol=1e-12, atol=1e-14), n
+
+    @pytest.mark.parametrize("level", [16, 48])
+    def test_level_that_does_not_divide_the_fine_grid_is_refused(self, level):
+        # floor division would hand level 16 the fine path itself
+        fine = IncrementPath(UniformGrid(24), np.ones((2, 24)))
+        with pytest.raises(GridMismatchError, match=f"level n={level} .* fine grid n=24"):
+            _coupled_paths(fine, [level, 24])
 
 
 class TestConvergenceStudy:
@@ -411,8 +419,9 @@ class TestBlocks:
 
         # Davies-Harte chunks keep their two rows; Cholesky ones fill a sampler tile
         with pytest.raises(NonConvergenceError) as excinfo:
-            experiments._coupled_samples(statistic, 8, [8], 0.25, "davies-harte",
-                                         samples=5, seed=77, threads=1)
+            experiments._coupled_samples(statistic, StudyConfig(0.25, n0=4, levels=2, samples=5,
+                                                                seed=77, sampler="davies-harte"),
+                                         fine_n=8, threads=1)
         assert str(excinfo.value) == "seed 77, sample m=3, stalled"
         assert blocks == [2, 2]
 
@@ -555,6 +564,22 @@ class TestVerificationChecks:
         verdict = verify_convolution_error_decay(0.25, level_ns=(16, 32, 64))
         assert verdict.passed
         assert verdict.estimate >= 1.5 - 0.15
+
+    @pytest.mark.parametrize("bad", [
+        dict(seed=-1), dict(samples=10.5), dict(samples=1), dict(level_ns=(16,)),
+        dict(level_ns=(16, 16)), dict(level_ns=(16, 24)), dict(level_ns=()),
+    ], ids=repr)
+    def test_solver_agreement_refuses_bad_input_before_sampling(self, monkeypatch, bad):
+        built, sampler = [], experiments.IncrementSampler
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "IncrementSampler", spy)
+        with pytest.raises(ValueError):
+            verify_solver_agreement(0.25, **{"level_ns": (4, 8, 16), **bad})
+        assert built == []
 
     def test_solver_agreement_floor_regime(self):
         verdict = verify_solver_agreement(0.25, samples=8)

@@ -159,8 +159,10 @@ def test_study_names_the_sample_of_a_non_finite_residual(monkeypatch, solver):
 
     # Davies-Harte chunks keep their two rows; Cholesky ones fill a sampler tile
     with pytest.raises(NonConvergenceError) as excinfo:
-        experiments._coupled_samples(statistic, 8, [8], 0.3, "davies-harte",
-                                     samples=4, seed=77, threads=1)
+        experiments._coupled_samples(statistic,
+                                     experiments.StudyConfig(0.3, n0=4, levels=2, samples=4,
+                                                             seed=77, sampler="davies-harte"),
+                                     fine_n=8, threads=1)
     assert str(excinfo.value).startswith(f"seed 77, sample m=3, {solver} solver, level n=8: ")
     assert "non-finite residual at iteration 1" in str(excinfo.value)
 

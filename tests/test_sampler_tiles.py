@@ -124,6 +124,7 @@ def test_solve_draws_the_path_of_study_sample_zero(monkeypatch, tmp_path):
         chunks.append(paths[512].increments)
         return np.zeros((len(paths[512].increments), 1))
 
-    experiments._coupled_samples(statistic, 512, [512], 0.25, "cholesky", samples=40,
-                                 seed=11, threads=1)
+    experiments._coupled_samples(statistic, StudyConfig(0.25, n0=256, levels=2, samples=40,
+                                                        seed=11),
+                                 fine_n=512, threads=1)
     assert np.array_equal(paths[0], chunks[0][0])
