@@ -154,7 +154,7 @@ def _cmd_sample_noise(args) -> int:
     hurst = HurstIndex(args.hurst)
     grid = UniformGrid(args.n)
     sampler = IncrementSampler(grid, hurst, args.method)
-    path = sampler.sample(np.random.default_rng([args.seed, 0]))
+    path = sampler.sample(args.seed)
     nodes = grid.nodes()
     density = path.increments / grid.h
 
@@ -182,9 +182,9 @@ def _cmd_sample_noise(args) -> int:
     return 0
 
 
-def _lag_one_self_check(sampler: IncrementSampler, seed: int,
-                        batches: int = 20000) -> tuple:
-    """z-test of the lag-1 increment covariance on a fresh seeded batch."""
+def _lag_one_self_check(sampler: IncrementSampler, seed: int) -> tuple:
+    """z-test of the lag-1 increment covariance on a fresh seeded batch of 20000 paths."""
+    batches = 20000
     n = sampler.grid.n
     if n < 2:
         return 0.0, True
@@ -208,8 +208,7 @@ def _cmd_solve(args) -> int:
     problem = ProblemSpec.from_labels(hurst, args.reaction, args.forcing)
     path = None
     if not args.zero_noise:
-        path = IncrementSampler(grid, hurst, args.method).sample(
-            np.random.default_rng([args.seed, 0]))
+        path = IncrementSampler(grid, hurst, args.method).sample(args.seed)
 
     solvers = ["fem", "greens"] if args.solver == "both" else [args.solver]
     columns = {}
@@ -219,7 +218,7 @@ def _cmd_solve(args) -> int:
     for name in solvers:
         solve = solve_nonlinear_fem if name == "fem" else solve_hammerstein
         solution = solve(problem, path, grid=grid, tol=args.tol)
-        columns[name] = solution.grid_function.values
+        columns[name] = solution.values
         meta[f"residual_{name}"] = solution.residual
         meta[f"iterations_{name}"] = solution.iterations
 

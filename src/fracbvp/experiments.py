@@ -7,9 +7,10 @@ coordinates.  Consecutive samples are drawn together, as the rows of a
 chunk whose fine increments stay within a fixed byte budget; every grid then
 solves the chunk in blocks of rows sized by that grid, so each solver step
 works on a whole block, and the coarse grids solve many rows per call.
-Every study is reproducible: sample m always uses the generator seeded with
-[seed, m], each row of a block is computed exactly as it would be alone, and
-accumulation runs in sample order, so reports are byte-identical for any
+Every study is reproducible: sample m is always sample m of the seed
+(IncrementSampler.sample, which draws it from default_rng([seed, m])), each
+row of a block is computed exactly as it would be alone, and accumulation
+runs in sample order, so reports are byte-identical for any
 --threads value, chunk size and block size (on a fixed BLAS build and BLAS
 thread count, which round the Cholesky sampler's products).
 """
@@ -241,16 +242,16 @@ def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
                      threads: int) -> np.ndarray:
     """Per-sample statistics of the config's coupled paths, stacked in sample order.
 
-    Sample m < config.samples draws one path on the grid with fine_n cells by
-    config.sampler, from its own generator default_rng([config.seed, m]).
+    Sample m < config.samples is sample m of config.seed drawn by
+    config.sampler on the grid with fine_n cells (IncrementSampler.sample).
     Consecutive samples form chunks of _chunk_rows(fine_n, config.level_ns())
     rows, up to threads of them at a time; Cholesky chunks round up to whole
     _TILE-row sampler tiles, ending on tile boundaries.  A chunk is drawn as
-    one block (IncrementSampler.sample with one generator per sample),
-    aggregated onto every level, and contributes the rows statistic(paths),
-    one per sample: paths maps every grid n the chunk is coupled to onto its
-    chunk of paths, the fine grid onto the drawn chunk itself, and the
-    statistic solves every grid n in blocks of _block_rows(n) rows (_solve).
+    one block, sample(seed, start, rows), aggregated onto every level, and
+    contributes the rows statistic(paths), one per sample: paths maps every
+    grid n the chunk is coupled to onto its chunk of paths, the fine grid
+    onto the drawn chunk itself, and the statistic solves every grid n in
+    blocks of _block_rows(n) rows (_solve).
     The dict holds the only reference to the drawn chunk, so a statistic that
     pops its fine entry can release it.  Every row is computed as it would be
     alone and chunks are collected in index order, so the result depends
@@ -272,11 +273,9 @@ def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
         rows = -(-rows // _TILE) * _TILE
 
     def worker(start: int) -> np.ndarray:
-        # neither the generators nor the drawn chunk get a name here: the
-        # statistic runs while this frame lives
-        paths = _coupled_paths(sampler.sample([np.random.default_rng([seed, m])
-                                               for m in range(start, min(start + rows, samples))],
-                                              first=start), level_ns)
+        # the drawn chunk gets no name here: the statistic runs while this frame lives
+        paths = _coupled_paths(sampler.sample(seed, start, min(rows, samples - start)),
+                               level_ns)
         try:
             return statistic(paths)
         except NonConvergenceError as exc:
@@ -435,7 +434,7 @@ class Verdict:
 
 
 def verify_noise_norm(hurst, n: int = 64, samples: int = 10000,
-                      seed: int = 2024, method: str = "cholesky") -> Verdict:
+                      seed: int = 2024) -> Verdict:
     """Monte Carlo check of E ||noise||_{L2}^2 = h^{2H-2}.
 
     The squared L2 norm of the piecewise constant noise is sum DW_i^2 / h;
@@ -443,7 +442,7 @@ def verify_noise_norm(hurst, n: int = 64, samples: int = 10000,
     """
     hurst = _as_hurst(hurst)
     grid = UniformGrid(n)
-    sampler = IncrementSampler(grid, hurst, method)
+    sampler = IncrementSampler(grid, hurst, "cholesky")
     draws = sampler.sample_many(np.random.default_rng([seed, 0]), samples)
     norms_sq = (draws * draws).sum(axis=1) / grid.h
     target = grid.h ** (2.0 * hurst.value - 2.0)
@@ -490,11 +489,11 @@ def verify_isometry(f: StepFunction, hurst, samples: int = 100000,
     )
 
 
-def kernel_pair_sum_quadrature(grid: UniformGrid, hurst, limit: int = 512) -> float:
+def kernel_pair_sum_quadrature(grid: UniformGrid, hurst) -> float:
     """Adaptive-quadrature route to the singular kernel pair sum.
 
     Integrates, per lag, the analytic inner antiderivative of
-    |x - y|^{2H-2} with an adaptive Gauss-Kronrod rule (up to `limit`
+    |x - y|^{2H-2} with an adaptive Gauss-Kronrod rule (up to 512
     subdivisions), independent of the closed-form second differences.
     scipy is imported here, so only this oracle needs it.
     """
@@ -514,22 +513,21 @@ def kernel_pair_sum_quadrature(grid: UniformGrid, hurst, limit: int = 512) -> fl
 
     total = 0.0
     for k in range(1, grid.n):
-        value, _ = integrate.quad(inner, 0.0, h, args=(k,), limit=limit,
+        value, _ = integrate.quad(inner, 0.0, h, args=(k,), limit=512,
                                   epsabs=0.0, epsrel=1e-10)
         total += 2.0 * (grid.n - k) * value
     return total
 
 
-def verify_kernel_pair_sum(n: int, hurst, limit: int = 512,
-                           rel_tol: float = 1e-6) -> Verdict:
-    """Closed form vs adaptive quadrature, plus the analytic upper bound."""
+def verify_kernel_pair_sum(n: int, hurst) -> Verdict:
+    """Closed form vs adaptive quadrature within 1e-6 relative, plus the analytic upper bound."""
     hurst = _as_hurst(hurst)
     grid = UniformGrid(n)
     closed = singular_kernel_pair_sum(grid, hurst)
-    oracle = kernel_pair_sum_quadrature(grid, hurst, limit=limit)
+    oracle = kernel_pair_sum_quadrature(grid, hurst)
     bound = singular_kernel_pair_sum_bound(grid, hurst)
     rel = abs(closed - oracle) / abs(oracle)
-    passed = rel <= rel_tol and closed <= bound * (1.0 + 1e-12)
+    passed = rel <= 1e-6 and closed <= bound * (1.0 + 1e-12)
     return Verdict(
         check=f"kernel-pair-sum[n={n},H={hurst.value:g}]",
         target=oracle,
@@ -540,20 +538,18 @@ def verify_kernel_pair_sum(n: int, hurst, limit: int = 512,
     )
 
 
-def verify_convolution_error_decay(hurst, level_ns=(16, 32, 64, 128, 256),
-                                   probes=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-                                   refine: int = 16, slack: float = 0.15) -> Verdict:
+def verify_convolution_error_decay(hurst, level_ns=(16, 32, 64, 128, 256)) -> Verdict:
     """Fitted decay rate of the kernel-averaging error against 2H + 1.
 
-    The worst probe point is tracked per level; the rate must reach
-    2H + 1 - slack.
+    The worst of the probe points 0.1, 0.2, ..., 0.9 is tracked per level;
+    the rate must reach 2H + 1 - 0.15.
     """
     hurst = _as_hurst(hurst)
     worst = []
     for n in level_ns:
         grid = UniformGrid(n)
-        worst.append(max(convolution_error_second_moment(x, grid, hurst, refine=refine)
-                         for x in probes))
+        worst.append(max(convolution_error_second_moment(x, grid, hurst)
+                         for x in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)))
     rate, _ = estimate_rate([1.0 / n for n in level_ns], worst)
     target = 2.0 * hurst.value + 1.0
     return Verdict(
@@ -561,7 +557,7 @@ def verify_convolution_error_decay(hurst, level_ns=(16, 32, 64, 128, 256),
         target=target,
         estimate=rate,
         statistic=rate,
-        passed=rate >= target - slack,
+        passed=rate >= target - 0.15,
         details=f"levels {list(level_ns)}, worst-probe fit",
     )
 
@@ -580,8 +576,11 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
     worst level's RMS gap stays within that floor, 100 tol.
 
     It runs the StudyConfig of solver "both" on the doubling ladder level_ns
-    through the studies' driver; what that config refuses raises ValueError.
+    through the studies' driver; what that config refuses, and a tol that is
+    not > 0 (its floor would be 0), raises ValueError.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     ladder = list(level_ns)
     if not ladder:
         raise ValueError("level_ns must not be empty")

@@ -200,14 +200,15 @@ class IncrementSampler:
     violated numerically.
 
     Every sample has an index m and consumes one standard_normal block of
-    draws_per_sample values.  Draws are transformed a block of rows at a
-    time: Cholesky as one (_TILE, n) product with the transposed factor,
-    sample m at row m % _TILE of a zero-padded tile, Davies-Harte as one
-    irfft of up to _FFT_ROWS rows.  A blocked matrix product rounds a row by
-    its shape and its place in the tile, not by the other rows, and the FFT
-    rounds every row alike, so sample m comes out bit for bit the same
-    whether it is drawn alone (sample(rng, first=m)) or in a block with any
-    neighbours.
+    draws_per_sample values, from default_rng([seed, m]) in sample() and
+    from one Generator's stream in sample_many().  Draws are transformed a
+    block of rows at a time: Cholesky as one (_TILE, n) product with the
+    transposed factor, sample m at row m % _TILE of a zero-padded tile,
+    Davies-Harte as one irfft of up to _FFT_ROWS rows.  A blocked matrix
+    product rounds a row by its shape and its place in the tile, not by the
+    other rows, and the FFT rounds every row alike, so sample m comes out
+    bit for bit the same whether it is drawn alone (sample(seed, m)) or in
+    a block with any neighbours.
     """
 
     def __init__(self, grid: UniformGrid, hurst, method: str = "cholesky"):
@@ -270,24 +271,23 @@ class IncrementSampler:
             start = stop
         return out
 
-    def sample(self, rng, first: int = 0) -> IncrementPath:
-        """One path from a Generator, or a stack of paths from a sequence of them.
+    def sample(self, seed: int, first: int = 0, count: int = None) -> IncrementPath:
+        """Sample `first` of a seed, or the stack of its samples first .. first + count - 1.
 
-        The path drawn from a Generator is sample `first`; row i of the
-        stack drawn from a sequence is sample first + i, whose normals
-        come from the sequence's i-th Generator.
+        Sample m always takes its standard normals from default_rng([seed, m]),
+        so a study's chunk, a single solve and a replay of one sample draw
+        the same path for it.  count None returns one path, an int a stack
+        of count rows.  Each Generator is made while its row is filled.
         """
-        if isinstance(rng, np.random.Generator):
-            return IncrementPath(self.grid, self._draw(
-                lambda part: rng.standard_normal(out=part), 1, first)[0])
-        generators = list(rng)
-        stream = iter(generators)
+        rows = 1 if count is None else count
+        indices = iter(range(first, first + rows))
 
         def fill(part):
             for row in part:
-                next(stream).standard_normal(out=row)
+                np.random.default_rng([seed, next(indices)]).standard_normal(out=row)
 
-        return IncrementPath(self.grid, self._draw(fill, len(generators), first))
+        draws = self._draw(fill, rows, first)
+        return IncrementPath(self.grid, draws[0] if count is None else draws)
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """(count, n) array of increments: samples 0 .. count - 1 of one generator's stream."""

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import GridFunction, UniformGrid, _linear_l2, _row_dot, gauss_values
+from .grids import UniformGrid, _linear_l2, _row_dot, gauss_values
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
@@ -82,10 +82,6 @@ class Solution:
     def iterations(self) -> int:
         """Iteration count; the sum over the rows of a stack."""
         return int(self.row_iterations.sum())
-
-    @property
-    def grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.values, kind="nodal")
 
 
 # Anderson acceleration (Walker & Ni 2011) of the fixed-point step: each step
@@ -369,8 +365,9 @@ class ReactionTerm:
         """The slope c moved into the solvers' Green's operator: slope_at_zero, or 0."""
         return float(self.slope_at_zero or 0.0)
 
-    def spot_check(self, rng: np.random.Generator, trials: int = 200) -> None:
+    def spot_check(self, rng: np.random.Generator) -> None:
         """Randomized check of f(x,0)=0, the one-sided bound, growth, and the slope at zero."""
+        trials = 200  # random points (x, r, s), each condition tested at all of them
         x = rng.uniform(0.0, 1.0, size=trials)
         r = rng.normal(scale=5.0, size=trials)
         s = rng.normal(scale=5.0, size=trials)

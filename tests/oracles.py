@@ -14,13 +14,13 @@ import math
 import numpy as np
 from scipy import integrate
 
-from fracbvp import (GridFunction, IncrementSampler, UniformGrid, fbm_covariance,
-                     greens_cell_integrals, greens_function)
+from fracbvp import (GridFunction, IncrementPath, IncrementSampler, UniformGrid,
+                     fbm_covariance, greens_cell_integrals, greens_function)
 
 
 def sample_increments(grid, hurst, rng, method="cholesky"):
-    """One-shot draw of an increment path."""
-    return IncrementSampler(grid, hurst, method).sample(rng)
+    """One-shot draw of an increment path: sample 0 of rng's stream."""
+    return IncrementPath(grid, IncrementSampler(grid, hurst, method).sample_many(rng, 1)[0])
 
 
 def step_noise(path):

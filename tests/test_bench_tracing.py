@@ -40,7 +40,7 @@ def _row_iterations(config, solve) -> np.ndarray:
     sampler = IncrementSampler(UniformGrid(config.reference_n), config.hurst, config.sampler)
     counts = []
     for m in range(config.samples):
-        fine = sampler.sample(np.random.default_rng([config.seed, m]), first=m)
+        fine = sampler.sample(config.seed, m)
         paths = [fine] + [aggregate_increments(fine, config.reference_n // n)
                           for n in config.level_ns()]
         counts.append([solve(problem, path, tol=config.tol,

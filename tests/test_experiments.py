@@ -169,7 +169,8 @@ class TestStudyConfig:
 
 class TestCoupling:
     def test_levels_share_the_fine_path(self, rng):
-        fine = IncrementSampler(UniformGrid(64), 0.25).sample(rng)
+        fine = IncrementPath(UniformGrid(64),
+                             IncrementSampler(UniformGrid(64), 0.25).sample_many(rng, 1)[0])
         paths = _coupled_paths(fine, [8, 16, 32, 64])
         for n, path in paths.items():
             assert path.grid.n == n
@@ -180,7 +181,7 @@ class TestCoupling:
     def test_chained_aggregation_agrees_on_a_study_chunk(self):
         # a study-sized Cholesky chunk: 200 rows on 512 cells, levels 16..128
         sampler = IncrementSampler(UniformGrid(512), 0.25)
-        chunk = sampler.sample([np.random.default_rng([2024, m]) for m in range(200)])
+        chunk = sampler.sample(2024, 0, 200)
         paths = _coupled_paths(chunk, [16, 32, 64, 128])
         assert paths[512] is chunk
         assert sorted(paths) == [16, 32, 64, 128, 512]
@@ -567,7 +568,7 @@ class TestVerificationChecks:
 
     @pytest.mark.parametrize("bad", [
         dict(seed=-1), dict(samples=10.5), dict(samples=1), dict(level_ns=(16,)),
-        dict(level_ns=(16, 16)), dict(level_ns=(16, 24)), dict(level_ns=()),
+        dict(level_ns=(16, 16)), dict(level_ns=(16, 24)), dict(level_ns=()), dict(tol=0.0),
     ], ids=repr)
     def test_solver_agreement_refuses_bad_input_before_sampling(self, monkeypatch, bad):
         built, sampler = [], experiments.IncrementSampler

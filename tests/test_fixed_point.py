@@ -31,8 +31,7 @@ def test_no_coarse_sqrt_clip_solve_stalls(solver):
     for hurst in (0.1, 0.3, 0.5):
         problem_spec = ProblemSpec.from_labels(hurst, "sqrt-clip", "one")
         sampler = IncrementSampler(UniformGrid(128), hurst, "cholesky")
-        fine = IncrementPath(sampler.grid, np.stack(
-            [sampler.sample(np.random.default_rng([7, m])).increments for m in range(300)]))
+        fine = sampler.sample(7, 0, 300)
         for n in (4, 8, 16, 32):
             solution = SOLVERS[solver](problem_spec, aggregate_increments(fine, 128 // n))
             worst = max(worst, int(solution.row_iterations.max()))

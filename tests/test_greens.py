@@ -270,7 +270,7 @@ class TestHammersteinSolver:
             noise = step_noise(path)
             force_sq = float(np.sum((1.0 + noise.values) ** 2)) * grid.h
             bound = math.sqrt(force_sq) / (2.0 - 1.0)
-            norm = solution.grid_function.l2_norm()
+            norm = GridFunction(solution.grid, solution.values).l2_norm()
             assert norm <= bound + 1e-12, (norm, bound)
 
 

@@ -15,7 +15,6 @@ import fracbvp
 
 SCRIPT = """
 import contextlib, io, sys
-import numpy as np
 import fracbvp
 from fracbvp import (IncrementSampler, ProblemSpec, StudyConfig, UniformGrid,
                      run_convergence_study, run_h1_blowup_study,
@@ -25,7 +24,7 @@ from fracbvp.experiments import kernel_pair_sum_quadrature
 
 problem = ProblemSpec.from_labels(0.25, "sin", "one")
 for method in ("cholesky", "davies-harte"):
-    path = IncrementSampler(UniformGrid(16), 0.25, method).sample(np.random.default_rng(1))
+    path = IncrementSampler(UniformGrid(16), 0.25, method).sample(1)
     solve_nonlinear_fem(problem, path)
     solve_hammerstein(problem, path)
 tiny = dict(hurst=0.25, reaction="sin", forcing="one", n0=4, levels=2, samples=4)

@@ -123,9 +123,13 @@ class TestSamplers:
     def test_batch_equals_sequential(self):
         for method in ("cholesky", "davies-harte"):
             sampler = IncrementSampler(UniformGrid(8), 0.3, method)
+            # sample i of a seed draws from default_rng([seed, i]), alone or stacked
+            stack = sampler.sample(7, 0, 5).increments
+            rows = [sampler.sample(7, i).increments for i in range(5)]
+            assert np.array_equal(stack, np.array(rows)), method
+            # one stream: row i is sample i of the stream, whatever rows follow it
             batch = sampler.sample_many(np.random.default_rng(7), 5)
-            rng = np.random.default_rng(7)
-            rows = [sampler.sample(rng, first=i).increments for i in range(5)]
+            rows = [sampler.sample_many(np.random.default_rng(7), i + 1)[i] for i in range(5)]
             assert np.array_equal(batch, np.array(rows)), method
 
     def test_same_seed_same_path(self):

@@ -35,10 +35,9 @@ from fracbvp import IncrementSampler, UniformGrid
 first, rows = 20, 64
 for n in map(int, sys.argv[1:]):
     sampler = IncrementSampler(UniformGrid(n), 0.25, "cholesky")
-    block = sampler.sample([np.random.default_rng([9, m]) for m in range(first, first + rows)],
-                           first=first).increments
+    block = sampler.sample(9, first, rows).increments
     for i, m in enumerate(range(first, first + rows)):
-        alone = sampler.sample(np.random.default_rng([9, m]), first=m).increments
+        alone = sampler.sample(9, m).increments
         if not np.array_equal(block[i], alone):
             print(f"n={n}: sample {m} differs from its draw alone", flush=True)
             sys.exit(1)
@@ -70,7 +69,7 @@ def test_a_single_draw_is_one_row_of_a_zero_padded_tile(n):
         tile = np.zeros((noise_module._TILE, n))
         np.random.default_rng([4, m]).standard_normal(out=tile[m % noise_module._TILE])
         product = np.matmul(tile, sampler._factor.T)[m % noise_module._TILE]
-        alone = sampler.sample(np.random.default_rng([4, m]), first=m).increments
+        alone = sampler.sample(4, m).increments
         assert np.array_equal(alone, product), m
 
 
@@ -78,12 +77,11 @@ def test_a_single_draw_is_one_row_of_a_zero_padded_tile(n):
 def test_davies_harte_block_equals_row_by_row_draws(n):
     sampler = IncrementSampler(UniformGrid(n), 0.25, "davies-harte")
     rows = 40
-    block = sampler.sample([np.random.default_rng([6, m]) for m in range(rows)]).increments
+    block = sampler.sample(6, 0, rows).increments
     for m in range(rows):
         raw = np.random.default_rng([6, m]).standard_normal((1, sampler.draws_per_sample))
         assert np.array_equal(block[m], sampler._transform(raw)[0]), m
-        assert np.array_equal(block[m], sampler.sample(np.random.default_rng([6, m]),
-                                                       first=m).increments), m
+        assert np.array_equal(block[m], sampler.sample(6, m).increments), m
 
 
 def _study(**overrides) -> str:

@@ -8,7 +8,7 @@ the single solve of that row, with the same iteration count and residual.
 import numpy as np
 import pytest
 
-from fracbvp import (IncrementPath, IncrementSampler, ProblemSpec, UniformGrid,
+from fracbvp import (GridFunction, IncrementPath, IncrementSampler, ProblemSpec, UniformGrid,
                      aggregate_increments, discrete_h1_error, discrete_l2_error,
                      ritz_projection, solve_hammerstein, solve_nonlinear_fem)
 from fracbvp.errors import NonConvergenceError
@@ -17,8 +17,8 @@ from fracbvp.fem import Tridiagonal
 SOLVERS = {"fem": solve_nonlinear_fem, "greens": solve_hammerstein}
 
 
-def _values(solution):
-    return solution.grid_function.values
+def _function(solution):
+    return GridFunction(solution.grid, solution.values)
 
 
 def _stack(n, rows=6, seed=11):
@@ -44,10 +44,10 @@ def test_stacked_solve_equals_row_by_row_solves(solver, n, reaction):
     problem = ProblemSpec.from_labels(0.3, reaction, "one")
     stack = _stack(n)
     stacked = solve(problem, stack)
-    assert _values(stacked).shape[0] == len(stack.increments)
+    assert stacked.values.shape[0] == len(stack.increments)
     for row, increments in enumerate(stack.increments):
         alone = solve(problem, IncrementPath(stack.grid, increments))
-        assert np.array_equal(_values(stacked)[row], _values(alone))
+        assert np.array_equal(stacked.values[row], alone.values)
         assert stacked.row_iterations[row] == alone.iterations
         assert stacked.row_residuals[row] == alone.residual
     assert stacked.iterations == sum(stacked.row_iterations)
@@ -70,7 +70,7 @@ def test_stacked_solve_on_a_refined_grid(solver):
     stacked = SOLVERS[solver](problem, stack, grid=fine)
     for row, increments in enumerate(stack.increments):
         alone = SOLVERS[solver](problem, IncrementPath(stack.grid, increments), grid=fine)
-        assert np.array_equal(_values(stacked)[row], _values(alone))
+        assert np.array_equal(stacked.values[row], alone.values)
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -110,17 +110,17 @@ def test_stacked_errors_and_projections_equal_single_ones():
     problem = ProblemSpec.from_labels(0.3, "sin", "one")
     fine = _stack(48)
     coarse = aggregate_increments(fine, 4)
-    u_fine = solve_nonlinear_fem(problem, fine).grid_function
-    u_coarse = solve_nonlinear_fem(problem, coarse).grid_function
+    u_fine = _function(solve_nonlinear_fem(problem, fine))
+    u_coarse = _function(solve_nonlinear_fem(problem, coarse))
     projected = ritz_projection(u_fine, coarse.grid)
     l2 = discrete_l2_error(u_coarse, u_fine)
     h1 = discrete_h1_error(projected, u_coarse)
     norms = u_coarse.h1_norm()
     for row in range(len(fine.increments)):
-        alone_fine = solve_nonlinear_fem(
-            problem, IncrementPath(fine.grid, fine.increments[row])).grid_function
-        alone_coarse = solve_nonlinear_fem(
-            problem, IncrementPath(coarse.grid, coarse.increments[row])).grid_function
+        alone_fine = _function(solve_nonlinear_fem(
+            problem, IncrementPath(fine.grid, fine.increments[row])))
+        alone_coarse = _function(solve_nonlinear_fem(
+            problem, IncrementPath(coarse.grid, coarse.increments[row])))
         assert l2[row] == discrete_l2_error(alone_coarse, alone_fine)
         assert h1[row] == discrete_h1_error(ritz_projection(alone_fine, coarse.grid),
                                             alone_coarse)
@@ -147,6 +147,6 @@ def test_study_sized_stack_equals_row_by_row_solves(solver, n, rows, reaction):
     assert len(set(stacked.row_iterations.tolist())) > 2
     for row, increments in enumerate(stack.increments):
         alone = solve(problem, IncrementPath(stack.grid, increments))
-        assert np.array_equal(_values(stacked)[row], _values(alone))
+        assert np.array_equal(stacked.values[row], alone.values)
         assert stacked.row_iterations[row] == alone.iterations
         assert stacked.row_residuals[row] == alone.residual
