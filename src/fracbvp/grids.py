@@ -136,27 +136,14 @@ class GridFunction:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError("evaluation points must lie in [0, 1]")
-        if self.kind == "nodal":
-            return self._interp(x)
-        idx = np.clip(np.ceil(x * self.grid.n).astype(int) - 1, 0, self.grid.n - 1)
-        return self.values[..., idx]
-
-    def _interp(self, x: np.ndarray) -> np.ndarray:
-        """np.interp(x, nodes, row) for every row at once, with np.interp's arithmetic.
-
-        x_j <= x < x_{j+1} picks the segment; a hit on a node, the right
-        end included, takes the nodal value as it is, and any other point
-        slope_j * (x - x_j) + v_j, the slope being (v_{j+1} - v_j) /
-        (x_{j+1} - x_j), so every row rounds exactly as np.interp rounds it.
-        """
-        nodes, v = self.grid.nodes(), self.values
-        j = np.searchsorted(nodes, x, side="right") - 1
-        hit = nodes[j] == x
-        seg = np.minimum(j, self.grid.n - 1)
-        slopes = (v[..., 1:] - v[..., :-1]) / (nodes[1:] - nodes[:-1])
-        out = slopes[..., seg] * (x - nodes[seg]) + v[..., seg]
-        out = np.where(hit, v[..., j], out)
-        return out[()] if out.ndim == 0 else out
+        if self.kind == "cell":
+            idx = np.clip(np.ceil(x * self.grid.n).astype(int) - 1, 0, self.grid.n - 1)
+            return self.values[..., idx]
+        nodes = self.grid.nodes()
+        if self.values.ndim == 1:
+            return np.interp(x, nodes, self.values)
+        rows = [np.interp(x, nodes, row) for row in self.values]
+        return np.reshape(rows, self.values.shape[:1] + x.shape)
 
     def l2_norm(self):
         """Exact L2 norm of the piecewise polynomial; one per row of a stack."""
@@ -184,15 +171,22 @@ def _linear_l2(h: float, a: np.ndarray, b: np.ndarray):
 def _cell_ends(f: GridFunction, fine: UniformGrid):
     """One-sided values of f at the left and right end of every cell of `fine`.
 
-    f's grid divides `fine`, so f is linear on every cell of it: a nodal f
-    on `fine` gives its values as they are, a nodal f on a coarser grid is
-    evaluated once, at the nodes of `fine`, and a cell f repeats each value
-    over the cells of `fine` it covers.
+    f's grid divides `fine`, r cells of `fine` to each of its own, so f is
+    linear on every cell of `fine`: a cell f repeats each value r times, and
+    a nodal f takes v_k + (v_(k+1) - v_k) (j/r) at node k r + j, by one
+    broadcast over (rows, cells, r), and v_n at the last node.  On dyadic
+    grids that is np.interp's value bit for bit, the same product rounded once.
     """
+    r = fine.n // f.grid.n
     if f.kind == "cell":
-        values = np.repeat(f.values, fine.n // f.grid.n, axis=-1)
+        values = np.repeat(f.values, r, axis=-1)
         return values, values
-    values = f.values if f.grid == fine else f(fine.nodes())
+    values = f.values
+    if r > 1:
+        inner = np.diff(values, axis=-1)[..., None] * (np.arange(r) / r)
+        inner += values[..., :-1, None]
+        values = np.concatenate([inner.reshape(values.shape[:-1] + (fine.n,)),
+                                 values[..., -1:]], axis=-1)
     return values[..., :-1], values[..., 1:]
 
 

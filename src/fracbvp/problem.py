@@ -479,8 +479,6 @@ class ProblemSpec:
     hurst: HurstIndex
     reaction: ReactionTerm
     forcing: Callable[[np.ndarray], np.ndarray]
-    reaction_label: str = ""
-    forcing_label: str = ""
 
     def __post_init__(self):
         # the solver loop takes its zero start's defect as -rhs without calling
@@ -496,6 +494,4 @@ class ProblemSpec:
             hurst=_as_hurst(hurst),
             reaction=make_reaction(reaction),
             forcing=make_forcing(forcing),
-            reaction_label=reaction,
-            forcing_label=forcing,
         )

@@ -1,6 +1,7 @@
 """Grid and norm plumbing: everything here must be exact, not approximate."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fracbvp import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
-from fracbvp.grids import _linear_l2, _row_dot, gauss_values
+from fracbvp.grids import _cell_ends, _linear_l2, _row_dot, gauss_values
 
 from oracles import from_callable
 
@@ -75,6 +76,12 @@ class TestGridFunction:
             single = GridFunction(grid, values[0])(x)
             assert np.array_equal(single, np.interp(x, grid.nodes(), values[0]))
             assert np.shape(single) == np.shape(x)
+
+    def test_evaluation_of_an_empty_stack_keeps_its_shape(self):
+        f = GridFunction(UniformGrid(4), np.zeros((0, 5)))
+        for x in (np.linspace(0.0, 1.0, 7), 0.5, np.zeros((2, 3))):
+            assert f(x).shape == (0,) + np.shape(x)
+        assert discrete_l2_error(f, GridFunction(UniformGrid(8), np.zeros((0, 9)))).shape == (0,)
 
     def test_cell_evaluation_half_open_convention(self):
         grid = UniformGrid(4)
@@ -155,6 +162,40 @@ def test_linear_l2_matches_an_exactly_rounded_sum(n):
     for row_a, row_b, norm in zip(a, b, norms):
         terms = [x * x + x * y + y * y for x, y in zip(row_a, row_b)]
         assert norm == pytest.approx(math.sqrt(h / 3.0 * math.fsum(terms)), rel=1e-14, abs=0.0)
+
+
+def _prolonged(n, r):
+    """Nodal rows on n cells scaled by 1, 1e-8, 1e8, -3 and 0, with their
+    values at the nodes of n r cells, as a stack and for the first row alone."""
+    values = np.random.default_rng([n, r]).normal(size=(5, n + 1))
+    values *= np.array([1.0, 1e-8, 1e8, -3.0, 0.0])[:, None]
+    grid, fine = UniformGrid(n), UniformGrid(n * r)
+    nodal = [np.concatenate([left, right[..., -1:]], axis=-1) for left, right in
+             (_cell_ends(GridFunction(grid, v), fine) for v in (values, values[0]))]
+    return grid, fine, values, *nodal
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024])
+@pytest.mark.parametrize("r", [2, 4, 32, 64])
+def test_dyadic_prolongation_equals_np_interp(n, r):
+    grid, fine, values, stacked, single = _prolonged(n, r)
+    expected = np.array([np.interp(fine.nodes(), grid.nodes(), row) for row in values])
+    assert np.array_equal(stacked, expected)
+    assert np.array_equal(single, expected[0])
+
+
+@pytest.mark.parametrize("n", [3, 5, 10, 17, 100, 1023])
+@pytest.mark.parametrize("r", [2, 3, 8])
+def test_prolongation_is_within_rounding_of_the_exact_value(n, r):
+    # np.interp misses by up to 1e-13 here, through the rounding of linspace's cell widths
+    _, _, values, stacked, single = _prolonged(n, r)
+    assert np.array_equal(single, stacked[0])
+    for row, got in zip(values, stacked):
+        v = [Fraction(x) for x in row]
+        exact = [v[i // r] + (v[i // r + 1] - v[i // r]) * Fraction(i % r, r)
+                 for i in range(n * r)] + [v[n]]
+        miss = max(abs(Fraction(x) - e) for x, e in zip(got, exact))
+        assert miss <= Fraction(4e-16) * max(map(abs, v))
 
 
 class TestErrors:

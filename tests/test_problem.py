@@ -103,8 +103,7 @@ class TestProblemSpec:
     def test_from_labels(self):
         spec = ProblemSpec.from_labels(0.25, "sin", "one")
         assert spec.hurst.value == 0.25
-        assert spec.reaction_label == "sin"
-        assert spec.forcing_label == "one"
+        assert spec.reaction.name == "sin"
 
     def test_reaction_must_vanish_at_zero(self):
         # the solver loop's zero start calls no reaction: with f(x, 0) = 1 it
