@@ -231,13 +231,18 @@ def ritz_projection(w, grid: UniformGrid) -> GridFunction:
 
     Args:
         w: callable or GridFunction (or a stack of them), absolutely
-            continuous on [0, 1].
+            continuous on [0, 1].  A nodal GridFunction on a grid that
+            refines `grid` r times gives its every r-th nodal value, with
+            no evaluation.
         grid: target FEM grid.
 
     ValueError if w is not finite at the nodes.
     """
     x = grid.nodes()
-    values = np.asarray(w(x), dtype=float)
+    if isinstance(w, GridFunction) and w.kind == "nodal" and grid.divides(w.grid):
+        values = w.values[..., ::w.grid.n // grid.n]
+    else:
+        values = np.asarray(w(x), dtype=float)
     _require_finite(values)
     return GridFunction(grid, values - values[..., :1] * (1.0 - x) - values[..., -1:] * x,
                         kind="nodal")

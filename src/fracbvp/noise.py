@@ -119,29 +119,74 @@ def increment_covariance_matrix(grid: UniformGrid, hurst) -> np.ndarray:
     return windows[::-1].copy()
 
 
-# The dense covariance and its Cholesky factor take 8 n^2 bytes each; a grid
-# whose factor exceeds this budget (n > 4096) is refused before allocating.
+# A grid whose dense n x n factor, 8 n^2 bytes, would exceed this budget
+# (n > 4096) is refused before allocating; the packed factor holds about half
+# of that, and its build no more than one 8 n _SCHUR_ROWS byte block besides.
 CHOLESKY_BYTES_BUDGET = 128 * 2**20
+# The factor U = L^T is kept in column panels of this many columns, each
+# holding only the rows above its diagonal block's end, U[:end, start:end].
+_PANEL = 64
+# The Schur recursion writes this many rows at a time into a buffer, whose
+# columns are then copied into the panels they belong to.
+_SCHUR_ROWS = 16
 
 
 # Factorizations are deterministic in (n, H), so the last one is cached per
 # process: a study draws from one grid, and the cache then holds no more bytes
 # than the budget, where four factors at the budget would take 512 MiB.
 @functools.lru_cache(maxsize=1)
-def _cholesky_factor(n: int, H: float) -> np.ndarray:
+def _cholesky_factor(n: int, H: float) -> tuple:
+    """The upper Cholesky factor U = L^T of the n increments' covariance, in panels.
+
+    Panel J holds U[:end, start:end] for columns start = _PANEL J up to
+    end = min(start + _PANEL, n), read-only.  The covariance is Toeplitz,
+    so the Schur algorithm factors it in O(n^2) from its autocovariance
+    rho, without the dense matrix (Bojanczyk, Brent, de Hoog & Sweet, SIMAX
+    16, 1995): row 0 of U is a = rho / sqrt(rho_0), the second generator b
+    is a with b_0 = 0, and row k is (a - r b)/c with a the row before
+    shifted by one column, b = b[k:], r = b_0/a_0 and c = sqrt((1 - r)(1 + r)),
+    after which b becomes c b - r U[k, k:].  |r| < 1 at every step exactly
+    when the covariance is positive definite; FactorizationError otherwise.
+    """
     nbytes = 8 * n * n
     if nbytes > CHOLESKY_BYTES_BUDGET:
         raise ValueError(
             f"Cholesky factor for n={n} takes {nbytes} bytes, over the budget of "
             f"{CHOLESKY_BYTES_BUDGET} bytes; sample with method davies-harte instead"
         )
-    cov = increment_covariance_matrix(UniformGrid(n), HurstIndex(H))
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"increment covariance not positive definite for n={n}, H={H}: {exc}"
-        ) from exc
+    rho = _increment_autocovariance(np.arange(n), 1.0 / n, H)
+    panels = [np.zeros((min(start + _PANEL, n), min(_PANEL, n - start)))
+              for start in range(0, n, _PANEL)]
+    # rows[1 + i] is row first + i of U, and rows[0] the row before first
+    rows = np.zeros((1 + _SCHUR_ROWS, n))
+    rows[1] = rho / math.sqrt(rho[0])
+    b = rows[1].copy()
+    b[0] = 0.0
+    scratch = np.empty(n)
+    for first in range(0, n, _SCHUR_ROWS):
+        last = min(first + _SCHUR_ROWS, n)
+        for k in range(max(first, 1), last):
+            a = rows[k - first, k - 1:n - 1]
+            beta = b[k:]
+            r = beta[0] / a[0]
+            if not abs(r) < 1.0:
+                raise FactorizationError(
+                    f"increment covariance not positive definite for n={n}, H={H}: "
+                    f"reflection coefficient {r} at step {k}")
+            c = math.sqrt((1.0 - r) * (1.0 + r))
+            row = np.multiply(beta, r, out=rows[1 + k - first, k:])
+            np.subtract(a, row, out=row)
+            row /= c
+            beta *= c
+            beta -= np.multiply(row, r, out=scratch[k:])
+        for panel in panels[first // _PANEL:]:
+            end = len(panel)
+            panel[first:last] = rows[1:1 + last - first, end - panel.shape[1]:end]
+        rows[0] = rows[last - first]
+        rows[1:] = 0.0
+    for panel in panels:
+        panel.flags.writeable = False
+    return tuple(panels)
 
 
 @functools.lru_cache(maxsize=4)
@@ -192,9 +237,10 @@ _FFT_ROWS = 8
 class IncrementSampler:
     """Exact sampler for fBm increments on a fixed grid.
 
-    method "cholesky" factorizes the dense covariance once (O(n^3) setup,
-    O(n^2) per draw); "davies-harte" embeds the Toeplitz covariance in a
-    circulant of size 2n and samples through FFTs (O(n log n) per draw).
+    method "cholesky" factorizes the Toeplitz covariance once by the Schur
+    algorithm (O(n^2) setup and per draw, no dense covariance);
+    "davies-harte" embeds it in a circulant of size 2n and samples through
+    FFTs (O(n log n) per draw).
     Both are exact in distribution; for H <= 1/2 the circulant spectrum is
     provably nonnegative, and a FactorizationError is raised if that is ever
     violated numerically.
@@ -202,13 +248,13 @@ class IncrementSampler:
     Every sample has an index m and consumes one standard_normal block of
     draws_per_sample values, from default_rng([seed, m]) in sample() and
     from one Generator's stream in sample_many().  Draws are transformed a
-    block of rows at a time: Cholesky as one (_TILE, n) product with the
-    transposed factor, sample m at row m % _TILE of a zero-padded tile,
-    Davies-Harte as one irfft of up to _FFT_ROWS rows.  A blocked matrix
-    product rounds a row by its shape and its place in the tile, not by the
-    other rows, and the FFT rounds every row alike, so sample m comes out
-    bit for bit the same whether it is drawn alone (sample(seed, m)) or in
-    a block with any neighbours.
+    block of rows at a time: Cholesky as one product of a (_TILE, n) tile
+    with each panel of the factor, sample m at row m % _TILE of a
+    zero-padded tile, Davies-Harte as one irfft of up to _FFT_ROWS rows.  A
+    blocked matrix product rounds a row by its shape and its place in the
+    tile, not by the other rows, and the FFT rounds every row alike, so
+    sample m comes out bit for bit the same whether it is drawn alone
+    (sample(seed, m)) or in a block with any neighbours.
     """
 
     def __init__(self, grid: UniformGrid, hurst, method: str = "cholesky"):
@@ -231,7 +277,14 @@ class IncrementSampler:
         """Map standard normal rows (m, draws_per_sample) to increments (m, n), into out."""
         n = self.grid.n
         if self.method == "cholesky":
-            return np.matmul(raw, self._factor.T, out=out)
+            # x = L z is z U by column panels; a panel's rows stop at its last
+            # column, as U's rows below it are zero there
+            if out is None:
+                out = np.empty((len(raw), n))
+            for panel in self._factor:
+                end = len(panel)
+                np.matmul(raw[:, :end], panel, out=out[:, end - panel.shape[1]:end])
+            return out
         m = 2 * n
         spec = np.zeros((raw.shape[0], n + 1), dtype=complex)
         spec[:, 0] = self._scale[0] * raw[:, 0]

@@ -12,13 +12,16 @@ from fracbvp import (
     IncrementPath,
     IncrementSampler,
     ProblemSpec,
+    StudyConfig,
     UniformGrid,
     assemble_load,
     ritz_projection,
+    run_superconvergence_study,
     solve_hammerstein,
     solve_linear_fem,
     solve_nonlinear_fem,
 )
+from fracbvp import experiments
 from fracbvp.errors import GridMismatchError, NonConvergenceError
 from fracbvp.fem import Tridiagonal
 
@@ -348,3 +351,36 @@ class TestRitzProjection:
         w = GridFunction(UniformGrid(8), np.array([0.0] * 8 + [np.nan]))
         with pytest.raises(ValueError):
             ritz_projection(w, UniformGrid(4))
+
+    @pytest.mark.parametrize("r", [2, 4])
+    @pytest.mark.parametrize("n", [16, 17, 100, 128])
+    def test_nested_nodal_functions_read_their_nodes_as_evaluation_does(self, rng, n, r):
+        # a nodal w on a grid refining the target r times gives its every
+        # r-th value; on these grids evaluating w there gives them bit for bit
+        w = GridFunction(UniformGrid(r * n), rng.normal(size=(5, r * n + 1)))
+        read = ritz_projection(w, UniformGrid(n))
+        evaluated = ritz_projection(lambda x: w(x), UniformGrid(n))
+        assert np.array_equal(read.values, evaluated.values)
+
+    def test_non_dyadic_nodes_are_read_exactly(self, rng):
+        # at n = 10, r = 3 the target's nodes j/10 and w's nodes 3j/30 differ
+        # by rounding, so evaluation interpolates between w's values; reading
+        # takes them as they are
+        w = GridFunction(UniformGrid(30), rng.normal(size=(5, 31)))
+        read = ritz_projection(w, UniformGrid(10))
+        evaluated = ritz_projection(lambda x: w(x), UniformGrid(10))
+        x = UniformGrid(10).nodes()
+        exact = w.values[:, ::3] - w.values[:, :1] * (1.0 - x) - w.values[:, -1:] * x
+        assert np.array_equal(read.values, exact)
+        assert np.abs(read.values - evaluated.values).max() <= 1e-13
+
+    def test_superconvergence_study_is_unchanged_by_reading_nodes(self, monkeypatch):
+        # criterion 9's study: every proxy is a nodal function on the grid
+        # 2n, so reading its nodes gives the report that evaluation gave
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                             samples=200, seed=2024, solver="fem")
+        read = run_superconvergence_study(config)
+        project = experiments.ritz_projection
+        monkeypatch.setattr(experiments, "ritz_projection",
+                            lambda w, grid: project(lambda x: w(x), grid))
+        assert run_superconvergence_study(config) == read

@@ -1,9 +1,10 @@
 """Samplers draw in index-aligned tiles, bit for bit as sample by sample.
 
 A Cholesky draw transforms its standard normals 32 rows at a time, one
-matrix product per tile, sample m at row m % 32; a blocked product rounds
-a row by its shape and its place in the tile, so every sample must come out
-exactly as it does when drawn alone at that place of a zero-padded tile.
+matrix product per tile and factor panel, sample m at row m % 32; a blocked
+product rounds a row by its shape and its place in the tile, so every sample
+must come out exactly as it does when drawn alone at that place of a
+zero-padded tile.
 Davies-Harte transforms a block of rows in one irfft, which must round every
 row as a one-row transform does.  Studies draw their chunks through these
 blocks, so their reports must not depend on the thread count or on where
@@ -68,7 +69,12 @@ def test_a_single_draw_is_one_row_of_a_zero_padded_tile(n):
     for m in (0, 5, 31, 32, 77):
         tile = np.zeros((noise_module._TILE, n))
         np.random.default_rng([4, m]).standard_normal(out=tile[m % noise_module._TILE])
-        product = np.matmul(tile, sampler._factor.T)[m % noise_module._TILE]
+        # x = L z taken as z U, one product of the tile with each panel of U
+        product = np.empty((noise_module._TILE, n))
+        for panel in sampler._factor:
+            end = len(panel)
+            product[:, end - panel.shape[1]:end] = np.matmul(tile[:, :end], panel)
+        product = product[m % noise_module._TILE]
         alone = sampler.sample(4, m).increments
         assert np.array_equal(alone, product), m
 
