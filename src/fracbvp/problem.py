@@ -30,7 +30,6 @@ function).  The remainder f - c u has slope <= 2 L, and K_c has L2 norm
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -93,31 +92,6 @@ ANDERSON_DEPTH = 3
 # pivot falls to this share of the pivot's diagonal entry.
 _TIKHONOV = 1e-12
 _PIVOT_FLOOR = 1e-10
-# The loop's buffers live in one workspace per thread, reused by the next
-# solve: fresh, a solve's buffer is mapped and faulted in anew whenever the
-# allocator has given the memory back.  A workspace over this many bytes is
-# not kept, so one large solve does not pin its memory; every block of a
-# study needs about 1.45 MB.
-_WORKSPACE_BYTES = 2 * 2**20
-_workspace = threading.local()
-
-
-def _take_workspace(length: int) -> np.ndarray:
-    """The thread's workspace with its first `length` values zeroed, or a new one.
-
-    It is detached while in use, so a solve started within the solve (by a
-    reaction) takes a workspace of its own.
-    """
-    buffer, _workspace.buffer = getattr(_workspace, "buffer", None), None
-    if buffer is None or len(buffer) < length:
-        return np.zeros(length)
-    buffer[:length] = 0.0
-    return buffer
-
-
-def _keep_workspace(buffer: np.ndarray) -> None:
-    if buffer.nbytes <= _WORKSPACE_BYTES:
-        _workspace.buffer = buffer
 
 
 def _solve_gram(gram: np.ndarray, right: np.ndarray):
@@ -185,13 +159,12 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     when a pivot of its Gram system collapses or a step taken with a full
     history lets its residual grow.
 
-    Only the rows still iterating are worked on, in buffers cut from a
-    workspace the thread reuses across calls, their leading rows being the
-    active ones.  A row stops at the first iterate whose residual has an
-    exact L2 norm <= tol, a rule that does not depend on the grid, exactly
-    as it would alone, and is frozen from then on.  Each row's arithmetic
-    is elementwise or a dot product along its own last axis, so every row
-    of a stack solves bit for bit as alone.
+    Only the rows still iterating are worked on, in buffers set up once per
+    call, their leading rows being the active ones.  A row stops at the
+    first iterate whose residual has an exact L2 norm <= tol, a rule that
+    does not depend on the grid, exactly as it would alone, and is frozen
+    from then on.  Each row's arithmetic is elementwise or a dot product along
+    its own last axis, so every row of a stack solves bit for bit as alone.
 
     Returns the Solution, a residual being the L2 norm of the row's last
     residual f (of the shifted form when c != 0).  Raises ValueError for a
@@ -225,12 +198,12 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     # j + 1, overwritten at step j + depth.  The histories, the scratch
     # buffer (Gauss values, consumed by K, then -theta f and the history's
     # combination), the defects and the iterates and right sides of the
-    # rows still going are slabs of the thread's workspace.
+    # rows still going are one allocation, made before the result: as
+    # separate arrays, freed and regrown on every solve, they cost a
+    # Green's study some 50 times the minor page faults per op.
     history = size * depth * width
     spare = size * max(width, 2 * grid.n)
-    length = 2 * history + spare + 3 * size * width
-    workspace = _take_workspace(length)
-    work = workspace[:length]
+    work = np.zeros(2 * history + spare + 3 * size * width)
     f_history = work[:history].reshape(size, depth, width)  # differences of the residuals f
     # differences of the damped iterates u + theta f
     g_history = work[history:2 * history].reshape(size, depth, width)
@@ -284,7 +257,6 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                 buffer[:len(rows)] = buffer[:count][going]
             count = len(rows)
             if not count:
-                _keep_workspace(workspace)
                 return Solution(grid, u.reshape(np.shape(rhs)), residuals, iterations)
             active, target, d = iterates[:count], targets[:count], defects[:count]
         if iteration == max_iters:
@@ -315,7 +287,6 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
         df[:, oldest] = d
     residuals[rows] = residual
     row = int(rows[0])
-    _keep_workspace(workspace)
     raise NonConvergenceError(
         f"{label} stalled at residual {residuals[row]:.3e} after {max_iters} iterations",
         residual=float(residuals[row]),

@@ -263,69 +263,3 @@ def test_compaction_keeps_no_copy_of_the_kept_rows(solver):
     compacted = [held for count, held in readings if count < rows]
     assert compacted
     assert max(compacted) < first + (n + 1) * 8
-
-
-def _loop_input(rows: int, n: int):
-    """(grid, rhs, K) of a stack of Green's-operator rows driven by noise and forcing one."""
-    grid = UniformGrid(n)
-    sampler = IncrementSampler(grid, 0.25, "davies-harte")
-    increments = sampler.sample_many(np.random.default_rng(5), rows)
-    rhs = greens._nodal_apply(grid)(np.repeat(increments / grid.h, 2, axis=-1) + 1.0)
-    return grid, rhs, greens._nodal_apply(grid)
-
-
-def test_a_second_solve_reuses_the_workspace():
-    # 32 rows on 512 cells, a block of a study's reference solve: its
-    # workspace of about 1.45 MB is kept, and the next solve of that shape
-    # allocates no other; the loop's remaining arrays (the solution, the
-    # reaction's and K's temporaries) stay well below that size
-    spec = ProblemSpec.from_labels(0.25, "sin", "one")
-    grid, rhs, apply_k = _loop_input(32, 512)
-    first = problem.damped_fixed_point(spec, grid, rhs, apply_k, 1e-10, 500, "loop")
-    kept = problem._workspace.buffer
-    assert kept is not None and kept.nbytes > 1.4e6
-    tracemalloc.start()
-    try:
-        second = problem.damped_fixed_point(spec, grid, rhs, apply_k, 1e-10, 500, "loop")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert problem._workspace.buffer is kept
-    assert peak < kept.nbytes / 2, peak
-    assert np.array_equal(first.values, second.values)
-
-
-def test_a_solve_within_a_solve_takes_its_own_workspace():
-    # a reaction that itself solves: the outer loop's workspace is detached
-    # while in use, so the inner solve can neither read nor zero it
-    spec = ProblemSpec.from_labels(0.25, "sin", "one")
-    grid, rhs, apply_k = _loop_input(8, 128)
-    inner_grid, inner_rhs, inner_k = _loop_input(8, 64)
-    alone = problem.damped_fixed_point(spec, grid, rhs, apply_k, 1e-10, 500, "outer")
-    inner_alone = problem.damped_fixed_point(spec, inner_grid, inner_rhs, inner_k, 1e-10, 500,
-                                             "inner")
-    inner = []
-
-    def fn(x, r):
-        inner.append(problem.damped_fixed_point(spec, inner_grid, inner_rhs, inner_k,
-                                                1e-10, 500, "inner"))
-        return np.sin(r)
-
-    nesting = dataclasses.replace(spec, reaction=dataclasses.replace(spec.reaction, fn=fn))
-    nested = problem.damped_fixed_point(nesting, grid, rhs, apply_k, 1e-10, 500, "outer")
-    assert inner
-    assert np.array_equal(nested.values, alone.values)
-    assert np.array_equal(nested.row_residuals, alone.row_residuals)
-    assert np.array_equal(nested.row_iterations, alone.row_iterations)
-    for solution in inner:
-        assert np.array_equal(solution.values, inner_alone.values)
-
-
-def test_a_solve_over_the_cap_keeps_no_workspace():
-    # 64 rows on 512 cells need about 2.9 MB, over the 2 MiB cap
-    spec = ProblemSpec.from_labels(0.25, "sin", "one")
-    grid, rhs, apply_k = _loop_input(64, 512)
-    problem.damped_fixed_point(spec, *_loop_input(4, 16), 1e-10, 500, "small")
-    assert problem._workspace.buffer is not None
-    problem.damped_fixed_point(spec, grid, rhs, apply_k, 1e-10, 500, "large")
-    assert problem._workspace.buffer is None

@@ -69,12 +69,7 @@ def test_a_single_draw_is_one_row_of_a_zero_padded_tile(n):
     for m in (0, 5, 31, 32, 77):
         tile = np.zeros((noise_module._TILE, n))
         np.random.default_rng([4, m]).standard_normal(out=tile[m % noise_module._TILE])
-        # x = L z taken as z U, one product of the tile with each panel of U
-        product = np.empty((noise_module._TILE, n))
-        for panel in sampler._factor:
-            end = len(panel)
-            product[:, end - panel.shape[1]:end] = np.matmul(tile[:, :end], panel)
-        product = product[m % noise_module._TILE]
+        product = sampler._transform(tile)[m % noise_module._TILE]
         alone = sampler.sample(4, m).increments
         assert np.array_equal(alone, product), m
 
