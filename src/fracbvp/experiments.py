@@ -25,7 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import FactorizationError, GridMismatchError, NonConvergenceError
+from .fem import _set_up as _fem_set_up
 from .fem import ritz_projection, solve_nonlinear_fem
+from .greens import _set_up as _greens_set_up
 from .greens import convolution_error_second_moment, solve_hammerstein
 from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
 from .noise import (
@@ -176,8 +178,11 @@ def _coupled_paths(fine: IncrementPath, level_ns) -> dict:
 
 # A block's largest array, (rows, 2 n) float64 values on a grid with n cells,
 # stays within this many bytes, and so do the solver loop's buffers of one row
-# length, whatever the grid.
-_BLOCK_BYTES = 256 * 1024
+# length, whatever the grid.  The loop holds about ten such arrays, and the
+# reference solve sets a study's peak memory, so the budget is small; a grid's
+# solver set-up is built once per _solve call, not per block, so more blocks
+# cost little time.
+_BLOCK_BYTES = 128 * 1024
 # A chunk's fine increments, (rows, fine_n) float64 values, stay within this
 # many bytes: the chunk's solutions and coarse paths are of the same order, and
 # none of them grows with the number of samples.
@@ -210,16 +215,22 @@ def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
     """Nodal solutions of a stack of paths by solve_nonlinear_fem or solve_hammerstein.
 
     The rows are solved in blocks of _block_rows(n) rows, n the solver grid's
-    cells.  A stall names the solver and the grid, and carries its row in
-    the stack.
+    cells, all with the one solver set-up of the grid built here (Gauss
+    points, forcing or stiffness, K map): it lives for this call only, so
+    threads solving other chunks never share it.  A stall names the solver
+    and the grid, and carries its row in the stack.
     """
-    solve = solve_nonlinear_fem if solver == "fem" else solve_hammerstein
+    if solver == "fem":
+        solve, set_up = solve_nonlinear_fem, _fem_set_up
+    else:
+        solve, set_up = solve_hammerstein, _greens_set_up
     grid = grid or path.grid
+    setup = set_up(problem, grid)
     values = np.empty((len(path.increments), grid.n + 1))
     for block in _blocks(len(values), grid.n):
         try:
             values[block] = solve(problem, IncrementPath(path.grid, path.increments[block]),
-                                  grid=grid, **options).values
+                                  grid=grid, setup=setup, **options).values
         except NonConvergenceError as exc:
             raise NonConvergenceError(f"{solver} solver, level n={grid.n}: {exc}",
                                       exc.residual, exc.iterations,

@@ -24,19 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import (GAUSS_OFFSETS, GridFunction, UniformGrid, _shifted_stiffness,
-                    discrete_h1_error, discrete_l2_error)
+from .grids import GAUSS_OFFSETS, GridFunction, UniformGrid, _shifted_stiffness
 from .noise import IncrementPath, increments_on
 from .problem import ProblemSpec, Solution, damped_fixed_point
 
 __all__ = [
     "Tridiagonal",
     "assemble_load",
-    "discrete_h1_error",
-    "discrete_l2_error",
     "ritz_projection",
     "solve_linear_fem",
     "solve_nonlinear_fem",
@@ -143,7 +141,7 @@ def _with_boundary(interior: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
+def _nodal_apply(grid: UniformGrid, shift: float = 0.0, stiffness: Tridiagonal = None):
     """The map from Gauss-point values of phi to the Galerkin K_h phi at the nodes.
 
     K_h phi is the FEM solution of -u'' = phi with phi's load taken by the
@@ -152,9 +150,11 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
     Green's-function quadrature of greens._nodal_apply.  With a shift c the
     map is K_c = (A + c M)^-1 of the same load, the FEM solution of
     -u'' + c u = phi, which is (I + c K_h)^-1 K_h at the nodes.  A stack of
-    rows phi maps row by row, into `out` when it is given.
+    rows phi maps row by row, into `out` when it is given.  `stiffness` is
+    Tridiagonal(grid, shift) when the caller has built it already.
     """
-    stiffness = Tridiagonal(grid, shift)
+    if stiffness is None:
+        stiffness = Tridiagonal(grid, shift)
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         # unchecked: the fixed-point loop checks its right-hand side and
@@ -163,6 +163,20 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
                               out)
 
     return apply
+
+
+class _Setup(NamedTuple):
+    """What every FEM solve on one grid shares, for one problem."""
+
+    gauss: np.ndarray  # the grid's Gauss points
+    stiffness: Tridiagonal  # A + c M, c the reaction's shift
+    apply_k: Callable  # K_c, through the same stiffness
+
+
+def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
+    """The FEM set-up of a grid: built once, it serves every block solved on it."""
+    stiffness = Tridiagonal(grid, problem.reaction.shift)
+    return _Setup(grid.gauss_points(), stiffness, _nodal_apply(grid, stiffness=stiffness))
 
 
 def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
@@ -181,7 +195,7 @@ def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
                         grid: UniformGrid = None, tol: float = 1e-10,
-                        max_iters: int = 500) -> Solution:
+                        max_iters: int = 500, *, setup: _Setup = None) -> Solution:
     """Galerkin solution of -u'' + f(x, u) = g + noise.
 
     The fixed point u + K_h f(., u) = A^-1 load of problem.damped_fixed_point,
@@ -207,17 +221,21 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             A^-1 load, the same rule as the Green's solver's (met through
             the shifted residual when c != 0; see damped_fixed_point).
         max_iters: cap; NonConvergenceError beyond it.
+        setup: the grid's Gauss points, shifted stiffness and K map
+            (_set_up(problem, grid)), built here when None; a study builds
+            them once per grid and chunk and passes them to every block.
     """
     if path is None and grid is None:
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
+    if setup is None:
+        setup = _set_up(problem, grid)
     load = assemble_load(grid, forcing=problem.forcing, path=path)
-    shift = problem.reaction.shift
     # a non-finite load is reported by the loop, as the Green's solver's is
-    rhs = _with_boundary(Tridiagonal(grid, shift).solve(load, check_finite=False))
-    return damped_fixed_point(problem, grid, rhs, _nodal_apply(grid, shift), tol, max_iters,
-                              "FEM fixed-point iteration")
+    rhs = _with_boundary(setup.stiffness.solve(load, check_finite=False))
+    return damped_fixed_point(problem, grid, rhs, setup.apply_k, tol, max_iters,
+                              "FEM fixed-point iteration", setup.gauss)
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:

@@ -27,6 +27,8 @@ taken along the last axis.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .grids import UniformGrid, _shifted_stiffness, gauss_values
@@ -167,9 +169,23 @@ def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
     return plinear_self_isometry(left, slopes, hurst)
 
 
+class _Setup(NamedTuple):
+    """What every Green's solve on one grid shares, for one problem."""
+
+    gauss: np.ndarray  # the grid's Gauss points
+    forcing: np.ndarray  # g at them
+    apply_k: Callable  # K_c, with its scratch rows: one solve at a time
+
+
+def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
+    """The Green's set-up of a grid: built once, it serves every block solved on it."""
+    gauss = grid.gauss_points()
+    return _Setup(gauss, problem.forcing(gauss), _nodal_apply(grid, problem.reaction.shift))
+
+
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
-                      max_iters: int = 500) -> Solution:
+                      max_iters: int = 500, *, setup: _Setup = None) -> Solution:
     """Solve u + K f(., u) = K g + K noise by Anderson-accelerated fixed-point iteration.
 
     For a reaction with Lipschitz constant L < 2 the plain iteration
@@ -196,6 +212,11 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
             the same rule as the FEM solver's (met through the shifted
             residual when c != 0; see damped_fixed_point).
         max_iters: iteration cap; NonConvergenceError beyond it.
+        setup: the grid's Gauss points, the forcing at them and the K map
+            (_set_up(problem, grid)), built here when None; a study builds
+            them once per grid and chunk and passes them to every block.
+            The K map keeps scratch rows, so two solves that run at once
+            must not share a set-up.
 
     Returns:
         Solution with nodal values, final residual, iteration count.
@@ -204,8 +225,9 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         raise ValueError("need either a noise path or a grid")
     if grid is None:
         grid = path.grid
-    apply_k = _nodal_apply(grid, problem.reaction.shift)
-    density = problem.forcing(grid.gauss_points())
+    if setup is None:
+        setup = _set_up(problem, grid)
+    apply_k, density = setup.apply_k, setup.forcing
     if path is not None:
         # the noise density is constant on each cell, so both Gauss points see it
         density = density + np.repeat(increments_on(path, grid) / grid.h, 2, axis=-1)
@@ -215,4 +237,4 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         rhs = apply_k(density)
     del density  # (rows, 2n) values the loop does not need
     return damped_fixed_point(problem, grid, rhs, apply_k, tol, max_iters,
-                              "fixed-point iteration")
+                              "fixed-point iteration", setup.gauss)

@@ -128,16 +128,17 @@ def _solve_gram(gram: np.ndarray, right: np.ndarray):
 
 def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                        apply_k: Callable, tol: float, max_iters: int,
-                       label: str) -> Solution:
+                       label: str, gauss: np.ndarray = None) -> Solution:
     """Solve u + K f(., u) = rhs at the nodes by Anderson-accelerated fixed-point steps.
 
     The one solver iteration; the two solvers differ only in their discrete
     Green's operator K and right-hand side.  apply_k maps values at the
     grid's Gauss points (a stack of rows) to nodal values with zero ends,
     into `out` when it is given; rhs holds nodal rows with zero ends, one
-    per noise path (a 1-D rhs is a single solve).  Every row starts from
-    zero, whose residual is rhs exactly as f(., 0) = 0: the zero start
-    calls neither the reaction nor K.
+    per noise path (a 1-D rhs is a single solve).  gauss holds the grid's
+    Gauss points, taken from grid.gauss_points() when it is None.  Every
+    row starts from zero, whose residual is rhs exactly as f(., 0) = 0: the
+    zero start calls neither the reaction nor K.
 
     With the reaction's shift c (ReactionTerm.shift, its slope at zero) the
     loop solves the shifted mild form u + K_c (f(., u) - c u) = rhs_c: apply_k
@@ -185,7 +186,8 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     if not finite.all():
         raise ValueError(f"right-hand side of row {int(np.argmin(finite))} is not finite: "
                          "the noise path or the forcing holds an inf or NaN")
-    gauss = grid.gauss_points()
+    if gauss is None:
+        gauss = grid.gauss_points()
     theta = problem.reaction.step_size
     shift = problem.reaction.shift
     # the equation's residual is (I + c K) times the loop's, and K has L2

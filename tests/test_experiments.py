@@ -103,6 +103,16 @@ class TestEstimateRate:
         with pytest.raises(ValueError):
             estimate_rate([0.5, 0.25, 0.125], [1.0, 0.5])
 
+    @pytest.mark.parametrize("points", [3, 6])
+    def test_stderr_is_the_least_squares_slope_error(self, rng, points):
+        # np.polyfit scales its covariance by the residual sum over n - 2
+        hs = np.array([2.0**-k for k in range(3, 3 + points)])
+        values = hs**0.7 * np.exp(rng.normal(0.0, 0.1, points))
+        rate, se = estimate_rate(hs, values)
+        coefficients, cov = np.polyfit(np.log2(hs), np.log2(values), 1, cov=True)
+        assert rate == pytest.approx(coefficients[0], rel=1e-12)
+        assert se == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10)
+
     @pytest.mark.parametrize("hs, values", [
         ([0.5, 0.25], [1.0, np.nan]),
         ([0.5, 0.25], [np.inf, 1.0]),
@@ -114,6 +124,19 @@ class TestEstimateRate:
     def test_rejects_values_that_are_not_finite_and_positive(self, hs, values):
         with pytest.raises(ValueError, match="finite, positive"):
             estimate_rate(hs, values)
+
+
+def test_level_stderr_is_the_delta_method_value():
+    # level 8: mean 7.5, squared deviations 42.25 + 12.25 + 2.25 + 72.25 = 129,
+    # so the sample variance (ddof=1) is 43 and se(mean) = sqrt(43/4); the delta
+    # method gives se(sqrt(mean)) = se(mean) / (2 sqrt(7.5)), squared 43/120.
+    # Level 16 has every error 0, so its stderr is 0 too.
+    squared = np.array([[1.0, 0.0], [4.0, 0.0], [9.0, 0.0], [16.0, 0.0]])
+    levels = experiments._rms_levels([8, 16], squared)
+    assert [(lv["n"], lv["h"]) for lv in levels] == [(8, 0.125), (16, 0.0625)]
+    assert levels[0]["rms_error"] == pytest.approx(np.sqrt(7.5), rel=1e-15)
+    assert levels[0]["stderr"] == pytest.approx(np.sqrt(43.0 / 120.0), rel=1e-14)
+    assert levels[1]["rms_error"] == levels[1]["stderr"] == 0.0
 
 
 class TestStudyConfig:
@@ -388,9 +411,9 @@ class TestBlocks:
         assert reports[1] == reports[7] == reports[self.SAMPLES]
 
     def test_rows_per_block_follow_the_sampling_grid(self):
-        # one (rows, 2n) float64 array of a block stays within 256 KiB
-        assert experiments._block_rows(512) == 32
-        assert experiments._block_rows(1024) == 16
+        # one (rows, 2n) float64 array of a block stays within 128 KiB
+        assert experiments._block_rows(512) == 16
+        assert experiments._block_rows(1024) == 8
         assert experiments._block_rows(1 << 20) == 1
 
     @pytest.mark.parametrize("solver", ["fem", "greens"])
@@ -465,10 +488,11 @@ class TestBlocks:
         for n, counts in rows.items():
             assert max(counts) <= experiments._block_rows(n), n
             assert sum(counts) == config.samples, n
-        # the coarse levels solve every sample in one call, the reference in blocks
-        assert rows[16] == rows[32] == rows[64] == [config.samples]
-        assert rows[128] == [128, 72]
-        assert rows[512] == [32] * 6 + [8]
+        # the coarsest levels solve every sample in one call, the others in blocks
+        assert rows[16] == rows[32] == [config.samples]
+        assert rows[64] == [128, 72]
+        assert rows[128] == [64] * 3 + [8]
+        assert rows[512] == [16] * 12 + [8]
 
     @pytest.mark.parametrize("case, thread_counts, chunks", [
         # the criterion-6 study: 200 paths of 512 cells fit in one chunk

@@ -46,6 +46,24 @@ print("ok")
 """
 
 
+# Digests of a small seeded Cholesky study and of its reference draws; a BLAS
+# that split the factor's panel products by its thread count would round them
+# otherwise.
+_STUDY_DIGEST = """
+import hashlib
+import json
+from fracbvp import IncrementSampler, StudyConfig, UniformGrid, run_convergence_study
+
+config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                     ref_extra=2, samples=20, seed=3, solver="fem")
+draws = IncrementSampler(UniformGrid(config.reference_n), config.hurst, "cholesky")
+print(hashlib.sha256(draws.sample(config.seed, 0, config.samples).increments.tobytes())
+      .hexdigest())
+report = run_convergence_study(config).to_dict(include_timing=False)
+print(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+"""
+
+
 def _child_env(blas_threads: int) -> dict:
     src = str(pathlib.Path(fracbvp.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -61,6 +79,18 @@ def test_cholesky_tile_rows_equal_rows_drawn_alone(blas_threads):
                            timeout=600)
     assert child.returncode == 0, child.stdout + child.stderr
     assert child.stdout.strip() == "ok"
+
+
+def test_seeded_cholesky_study_does_not_depend_on_blas_threads():
+    digests = {}
+    for blas_threads in (1, 2):
+        child = subprocess.run([sys.executable, "-c", _STUDY_DIGEST],
+                               env=_child_env(blas_threads), capture_output=True, text=True,
+                               timeout=600)
+        assert child.returncode == 0, child.stdout + child.stderr
+        digests[blas_threads] = child.stdout.split()
+        assert len(digests[blas_threads]) == 2, child.stdout
+    assert digests[1] == digests[2]
 
 
 @pytest.mark.parametrize("n", [2, 7, 16, 128, 500])

@@ -14,6 +14,7 @@ from fracbvp import (GridFunction, HurstIndex, IncrementPath, IncrementSampler, 
                      ReactionTerm, UniformGrid, make_forcing, make_reaction, solve_hammerstein,
                      solve_nonlinear_fem)
 from fracbvp import fem, greens, problem
+from fracbvp.errors import NonConvergenceError
 from fracbvp.fem import Tridiagonal, assemble_load
 from fracbvp.grids import _shifted_stiffness, gauss_values
 
@@ -143,6 +144,36 @@ def test_shifted_solutions_meet_the_unshifted_equation(solver, n, tol):
     path = _paths(n)
     solution = SOLVERS[solver](spec, path, tol=tol)
     assert np.all(_unshifted_residual(solver, spec, path, solution.values) <= tol)
+
+
+def _dense_unshifted_residual(spec, path, u):
+    """L2 norm of u + K f(., u) - K (g + noise), K the dense Green's weights of the oracle."""
+    grid = path.grid
+    weights = gauss_weight_matrix(grid)
+    gauss = grid.gauss_points()
+    density = spec.forcing(gauss) + np.repeat(path.increments / grid.h, 2, axis=-1)
+    defect = u + (spec.reaction(gauss, gauss_values(u)) - density) @ weights.T
+    return GridFunction(grid, defect).l2_norm()
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("n", [16, 512])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_shifted_stop_keeps_the_unshifted_residual_within_tol(solver, n, steps):
+    # tol sits just above the loop's residual after `steps` steps, so that
+    # residual lies in (tol / (1 + 1/pi^2), tol]: a loop that stopped on
+    # tol itself would stop there, where the unshifted residual, (I + K)
+    # times the loop's, exceeds tol
+    spec = ProblemSpec.from_labels(0.25, "sin", "one")
+    path = _paths(n, rows=1)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        SOLVERS[solver](spec, path, tol=0.0, max_iters=steps)
+    reached = excinfo.value.residual
+    tol = 1.001 * reached
+    assert tol / (1.0 + 1.0 / np.pi ** 2) < reached <= tol
+    solution = SOLVERS[solver](spec, path, tol=tol)
+    assert _dense_unshifted_residual(spec, path, solution.values)[0] <= tol
+    assert solution.iterations > steps
 
 
 def _unshifted_sin():

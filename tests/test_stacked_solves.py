@@ -139,7 +139,7 @@ def test_path_shape_is_checked():
 @pytest.mark.parametrize("n, rows", [(512, 32), (1024, 16)])
 @pytest.mark.parametrize("reaction", ["sin", "linear:1.5", "linear:-1.5", "sqrt-clip"])
 def test_study_sized_stack_equals_row_by_row_solves(solver, n, rows, reaction):
-    # the block shapes of studies with a reference of 512 and 1024 cells
+    # twice the block shapes of studies with a reference of 512 and 1024 cells
     solve = SOLVERS[solver]
     problem = ProblemSpec.from_labels(0.3, reaction, "one")
     stack = _stack(n, rows)
