@@ -69,8 +69,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample-noise", parents=[common],
                        help="draw one fractional noise path")
     p.add_argument("--n", type=int, required=True, help="number of cells")
-    p.add_argument("--method", choices=("cholesky", "davies-harte"),
-                   default="cholesky", help="sampling method")
+    p.add_argument("--method", "--sampler", choices=("cholesky", "davies-harte"),
+                   default="cholesky", dest="method", help="sampling method")
     p.add_argument("--self-check", action="store_true",
                    help="run a lag-1 covariance z-test on a fresh batch")
 
@@ -82,8 +82,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--g", type=str, default="zero", dest="forcing",
                    help="forcing: zero | one | sinpi")
     p.add_argument("--solver", choices=("fem", "greens", "both"), default="fem")
-    p.add_argument("--method", choices=("cholesky", "davies-harte"),
-                   default="cholesky", help="sampling method")
+    p.add_argument("--method", "--sampler", choices=("cholesky", "davies-harte"),
+                   default="cholesky", dest="method", help="sampling method")
     p.add_argument("--zero-noise", action="store_true",
                    help="solve the deterministic problem instead of sampling")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -96,8 +96,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--f", type=str, default="zero", dest="reaction")
     p.add_argument("--g", type=str, default="zero", dest="forcing")
     p.add_argument("--solver", choices=("fem", "greens", "both"), default="fem")
-    p.add_argument("--sampler", choices=("cholesky", "davies-harte"),
-                   default="cholesky")
+    p.add_argument("--sampler", "--method", choices=("cholesky", "davies-harte"),
+                   default="cholesky", dest="sampler", help="sampling method")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--ref-extra", type=int, default=2,
                    help="reference grid is 2^this finer than the top level")

@@ -178,14 +178,15 @@ def _coupled_paths(fine: IncrementPath, level_ns) -> dict:
 
 # A block's largest array, (rows, 2 n) float64 values on a grid with n cells,
 # stays within this many bytes, and so do the solver loop's buffers of one row
-# length, whatever the grid.  The loop holds about ten such arrays, and the
-# reference solve sets a study's peak memory, so the budget is small; a grid's
-# solver set-up is built once per _solve call, not per block, so more blocks
-# cost little time.
+# length, whatever the grid.  The loop holds about ten such arrays, and a
+# study's peak memory is reached inside a block solve, so the budget is small;
+# a grid's solver set-up is built once per _solved_blocks call, not per block,
+# so more blocks cost little time.
 _BLOCK_BYTES = 128 * 1024
 # A chunk's fine increments, (rows, fine_n) float64 values, stay within this
-# many bytes: the chunk's solutions and coarse paths are of the same order, and
-# none of them grows with the number of samples.
+# many bytes: the chunk's level solutions and coarse paths are of the same
+# order, its reference solution is never whole (each block is measured as it is
+# solved), and none of them grows with the number of samples.
 _CHUNK_BYTES = 1024 * 1024
 
 
@@ -210,15 +211,17 @@ def _chunk_rows(fine_n: int, level_ns) -> int:
                min(_block_rows(min(level_ns)), _CHUNK_BYTES // (8 * fine_n)))
 
 
-def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
-           **options) -> GridFunction:
-    """Nodal solutions of a stack of paths by solve_nonlinear_fem or solve_hammerstein.
+def _solved_blocks(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
+                   **options):
+    """Nodal solutions of a stack of paths, yielded as (rows, GridFunction) block by block.
 
-    The rows are solved in blocks of _block_rows(n) rows, n the solver grid's
-    cells, all with the one solver set-up of the grid built here (Gauss
-    points, forcing or stiffness, K map): it lives for this call only, so
-    threads solving other chunks never share it.  A stall names the solver
-    and the grid, and carries its row in the stack.
+    solve_nonlinear_fem or solve_hammerstein solves the rows in blocks of
+    _block_rows(n) rows, n the solver grid's cells, all with the one solver
+    set-up of the grid built here (Gauss points, forcing or stiffness, K
+    map): it lives for this generator only, so threads solving other chunks
+    never share it.  rows is the block's slice of the stack, and a caller
+    that measures each block as it comes never holds the whole solution.  A
+    stall names the solver and the grid, and carries its row in the stack.
     """
     if solver == "fem":
         solve, set_up = solve_nonlinear_fem, _fem_set_up
@@ -226,27 +229,32 @@ def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
         solve, set_up = solve_hammerstein, _greens_set_up
     grid = grid or path.grid
     setup = set_up(problem, grid)
-    values = np.empty((len(path.increments), grid.n + 1))
-    for block in _blocks(len(values), grid.n):
+    for block in _blocks(len(path.increments), grid.n):
         try:
-            values[block] = solve(problem, IncrementPath(path.grid, path.increments[block]),
-                                  grid=grid, setup=setup, **options).values
+            solution = solve(problem, IncrementPath(path.grid, path.increments[block]),
+                             grid=grid, setup=setup, **options)
         except NonConvergenceError as exc:
             raise NonConvergenceError(f"{solver} solver, level n={grid.n}: {exc}",
                                       exc.residual, exc.iterations,
                                       block.start + exc.row) from exc
+        yield block, GridFunction(grid, solution.values)
+        del solution  # only the caller may keep a block through the next solve
+
+
+def _solve(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
+           **options) -> GridFunction:
+    """The blocks of _solved_blocks stacked into one GridFunction, for a whole solution."""
+    grid = grid or path.grid
+    values = np.empty((len(path.increments), grid.n + 1))
+    for block, solution in _solved_blocks(solver, problem, path, grid, **options):
+        values[block] = solution.values
+        del solution  # freed before the next block is solved
     return GridFunction(grid, values)
 
 
-def _by_blocks(measure: Callable, n: int, *functions: GridFunction) -> np.ndarray:
-    """measure(*functions) row by row, taken on _block_rows(n) rows at a time.
-
-    n is the finest grid the measure works on, so its temporaries stay as
-    small as a block's.
-    """
-    return np.concatenate([
-        measure(*(GridFunction(f.grid, f.values[block]) for f in functions))
-        for block in _blocks(len(functions[0].values), n)])
+def _rows(function: GridFunction, block: slice) -> GridFunction:
+    """The rows `block` of a stack of functions."""
+    return GridFunction(function.grid, function.values[block], function.kind)
 
 
 def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
@@ -262,11 +270,12 @@ def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
     contributes the rows statistic(paths), one per sample: paths maps every
     grid n the chunk is coupled to onto its chunk of paths, the fine grid
     onto the drawn chunk itself, and the statistic solves every grid n in
-    blocks of _block_rows(n) rows (_solve).
-    The dict holds the only reference to the drawn chunk, so a statistic that
-    pops its fine entry can release it.  Every row is computed as it would be
-    alone and chunks are collected in index order, so the result depends
-    neither on threads nor on the chunk or block size.  A stall raises
+    blocks of _block_rows(n) rows (_solved_blocks), measuring each block as
+    it comes.  The dict holds the only reference to the drawn chunk and to
+    each coarse path, so a statistic that pops an entry frees it once it is
+    done with it.  Every row is computed as it would be alone and chunks are
+    collected in index order, so the result depends neither on threads nor
+    on the chunk or block size.  A stall raises
     NonConvergenceError naming the seed, the sample, the level and the
     solver, and a failed factorization of the sampler FactorizationError
     naming the seed, the sampler and fine_n.
@@ -328,8 +337,9 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     """RMS L2 error against a coupled fine-grid reference, per level.
 
     Each sample draws one path on the reference grid, aggregates it to all
-    levels, solves on every level and on the reference with the same
-    solver(s), and records exact L2 distances.  Expected rates: H + 1/2 for
+    levels, solves on every level and then on the reference with the same
+    solver(s), and records exact L2 distances, reference block by reference
+    block.  Expected rates: H + 1/2 for
     Lipschitz reactions, at least H/2 + 1/4 for monotone bounded ones.
 
     threads bounds how many chunks run at once and is not part of the study:
@@ -344,15 +354,23 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
 
     def squared_errors(paths: dict) -> np.ndarray:
         fine = paths.pop(config.reference_n)
-        references = [_solve(solver, problem, fine, **options) for solver in solvers]
-        del fine  # the chunk's last name: it is freed before the level solves
-        out = []
-        for solver, reference in zip(solvers, references):
-            solutions = [_solve(solver, problem, paths[n], **options) for n in level_ns]
-            out.append(np.stack([np.square(_by_blocks(discrete_l2_error, reference.grid.n,
-                                                      u, reference))
-                                 for u in solutions], axis=-1))
-        return np.stack(out, axis=1)  # (rows, solvers, levels)
+        solutions = {}
+        for n in sorted(level_ns, reverse=True):
+            # the dict's path is popped, so it is freed once every solver has solved it
+            path = paths.pop(n)
+            for solver in solvers:
+                solutions[solver, n] = _solve(solver, problem, path, **options)
+        del path
+        out = np.empty((len(fine.increments), len(solvers), len(level_ns)))
+        for i, solver in enumerate(solvers):
+            # each reference block is measured as it leaves the solver, so no
+            # reference solution is ever whole
+            for block, reference in _solved_blocks(solver, problem, fine, **options):
+                for j, n in enumerate(level_ns):
+                    out[block, i, j] = np.square(discrete_l2_error(
+                        _rows(solutions[solver, n], block), reference))
+                del reference  # freed before the next block is solved
+        return out
 
     rows = _coupled_samples(squared_errors, config, config.reference_n, threads)
     results = {solver: _rate_block(level_ns, rows[:, i]) for i, solver in enumerate(solvers)}
@@ -377,9 +395,11 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
     def h1_squared(paths: dict) -> np.ndarray:
-        return np.stack([np.square(_by_blocks(GridFunction.h1_norm, n,
-                                              _solve(config.solver, problem, paths[n], **options)))
-                         for n in level_ns], axis=-1)
+        out = np.empty((len(paths[level_ns[0]].increments), len(level_ns)))
+        for j, n in enumerate(level_ns):
+            for block, u in _solved_blocks(config.solver, problem, paths[n], **options):
+                out[block, j] = np.square(u.h1_norm())
+        return out
 
     rows = _coupled_samples(h1_squared, config, max(level_ns), threads)
     means = rows.mean(axis=0)
@@ -411,14 +431,15 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
     def projection_gaps(paths: dict) -> np.ndarray:
-        out = []
-        for n in level_ns:
+        out = np.empty((len(paths[level_ns[0]].increments), len(level_ns)))
+        for j, n in enumerate(level_ns):
             fem = _solve("fem", problem, paths[n], **options)
-            proxy = _solve("fem", problem, paths[n], grid=UniformGrid(2 * n), **options)
-            gaps = _by_blocks(lambda w, u: discrete_h1_error(ritz_projection(w, u.grid), u),
-                              2 * n, proxy, fem)
-            out.append(np.square(gaps))
-        return np.stack(out, axis=-1)
+            # each proxy block on 2n is measured as it comes, so no proxy is whole
+            for block, proxy in _solved_blocks("fem", problem, paths[n], grid=UniformGrid(2 * n),
+                                               **options):
+                u = _rows(fem, block)
+                out[block, j] = np.square(discrete_h1_error(ritz_projection(proxy, u.grid), u))
+        return out
 
     rows = _coupled_samples(projection_gaps, config, max(level_ns), threads)
     return _rate_block(level_ns, rows)
@@ -603,12 +624,12 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
     problem, options = config.problem(), dict(tol=config.tol, max_iters=config.max_iters)
 
     def squared_gaps(paths: dict) -> np.ndarray:
-        out = []
-        for n in level_ns:
+        out = np.empty((len(paths[level_ns[0]].increments), len(level_ns)))
+        for j, n in enumerate(level_ns):
             fem = _solve("fem", problem, paths[n], **options)
-            mild = _solve("greens", problem, paths[n], **options)
-            out.append(np.square(_by_blocks(discrete_l2_error, n, fem, mild)))
-        return np.stack(out, axis=-1)
+            for block, mild in _solved_blocks("greens", problem, paths[n], **options):
+                out[block, j] = np.square(discrete_l2_error(_rows(fem, block), mild))
+        return out
 
     rows = _coupled_samples(squared_gaps, config, max(level_ns), threads)
     worst = max(lv["rms_error"] for lv in _rms_levels(level_ns, rows))

@@ -171,12 +171,14 @@ class _Setup(NamedTuple):
     gauss: np.ndarray  # the grid's Gauss points
     stiffness: Tridiagonal  # A + c M, c the reaction's shift
     apply_k: Callable  # K_c, through the same stiffness
+    forcing_load: np.ndarray  # the forcing's load (g, phi_j)
 
 
 def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
     """The FEM set-up of a grid: built once, it serves every block solved on it."""
     stiffness = Tridiagonal(grid, problem.reaction.shift)
-    return _Setup(grid.gauss_points(), stiffness, _nodal_apply(grid, stiffness=stiffness))
+    return _Setup(grid.gauss_points(), stiffness, _nodal_apply(grid, stiffness=stiffness),
+                  assemble_load(grid, forcing=problem.forcing))
 
 
 def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
@@ -221,9 +223,10 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             A^-1 load, the same rule as the Green's solver's (met through
             the shifted residual when c != 0; see damped_fixed_point).
         max_iters: cap; NonConvergenceError beyond it.
-        setup: the grid's Gauss points, shifted stiffness and K map
-            (_set_up(problem, grid)), built here when None; a study builds
-            them once per grid and chunk and passes them to every block.
+        setup: the grid's Gauss points, shifted stiffness, K map and
+            forcing load (_set_up(problem, grid)), built here when None; a
+            study builds them once per grid and chunk and passes them to
+            every block.
     """
     if path is None and grid is None:
         raise ValueError("need either a noise path or a grid")
@@ -231,7 +234,9 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
         grid = path.grid
     if setup is None:
         setup = _set_up(problem, grid)
-    load = assemble_load(grid, forcing=problem.forcing, path=path)
+    # (0 + noise) + (0 + g) rounds as (0 + g) + noise does: addition commutes,
+    # and a zero's sign cannot change either sum
+    load = assemble_load(grid, path=path) + setup.forcing_load
     # a non-finite load is reported by the loop, as the Green's solver's is
     rhs = _with_boundary(setup.stiffness.solve(load, check_finite=False))
     return damped_fixed_point(problem, grid, rhs, setup.apply_k, tol, max_iters,

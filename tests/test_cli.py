@@ -288,3 +288,23 @@ class TestVerify:
         code, out, _ = _run(capsys, ["verify", "--hurst", "0.25"])
         assert code == 3
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["sample-noise", "--n", "16"],
+    ["solve", "--n", "16", "--f", "sin", "--g", "one"],
+    ["converge", "--ladder", "8:2", "--samples", "4", "--f", "sin", "--g", "one"],
+])
+def test_method_and_sampler_are_one_option(capsys, command):
+    outputs = {}
+    for spelling in ("--method", "--sampler", None):
+        extra = [spelling, "davies-harte"] if spelling else []
+        code, out, _ = _run(capsys, command + ["--hurst", "0.25", "--seed", "3",
+                                               "--format", "json"] + extra)
+        assert code == 0
+        report = json.loads(out)
+        if isinstance(report, dict):
+            report.pop("wall_time", None)
+        outputs[spelling] = report
+    assert outputs["--method"] == outputs["--sampler"]
+    assert outputs["--method"] != outputs[None]  # the default, cholesky, draws other paths

@@ -1,5 +1,6 @@
 """Monte Carlo harness: coupling, rate fits, determinism, verification checks."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -256,27 +257,43 @@ class TestConvergenceStudy:
         assert str(excinfo.value) == f"seed 77, {sampler} sampler, reference n=64: forced for n=64"
         assert isinstance(excinfo.value.__cause__, FactorizationError)
 
-    def test_fine_chunk_is_released_before_the_level_solves(self, monkeypatch):
+    def test_levels_are_freed_one_by_one_and_the_reference_is_never_whole(self, monkeypatch):
+        # the criterion-6 study; its traced peak read 3.31 MB when the whole
+        # reference solution (0.82 MB) was held, and 2.69 MB measured block by block
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                             ref_extra=2, samples=200, seed=2, solver="fem")
+        run_convergence_study(dataclasses.replace(config, seed=1))  # set-up caches
+        tracemalloc.start()
+        try:
+            run_convergence_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6, peak
+
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,
                              samples=40, seed=5, solver="both")
-        chunks, level_solves = [], []
+        coarse, solves = {}, []
         coupled_paths, solve = experiments._coupled_paths, experiments._solve
 
         def paths_spy(fine, level_ns):
-            chunks.append(weakref.ref(fine.increments))
-            return coupled_paths(fine, level_ns)
+            paths = coupled_paths(fine, level_ns)
+            coarse.update((n, weakref.ref(path.increments)) for n, path in paths.items()
+                          if n != fine.grid.n)
+            return paths
 
         def solve_spy(solver, problem, path, grid=None, **options):
-            if path.grid.n != config.reference_n:
-                level_solves.append(chunks[-1]() is None)
+            dead = sorted(n for n, increments in coarse.items() if increments() is None)
+            solves.append((solver, path.grid.n, dead))
             return solve(solver, problem, path, grid, **options)
 
         monkeypatch.setattr(experiments, "_coupled_paths", paths_spy)
         monkeypatch.setattr(experiments, "_solve", solve_spy)
         run_convergence_study(config)
-        assert len(chunks) == 1
-        assert len(level_solves) == 2 * config.levels
-        assert all(level_solves)
+        # finest level first, by both solvers; a level's path is dead before
+        # the next level is solved, and the reference is never solved whole
+        assert solves == [("fem", 32, []), ("greens", 32, []), ("fem", 16, [32]),
+                          ("greens", 16, [32]), ("fem", 8, [16, 32]), ("greens", 8, [16, 32])]
 
     def test_both_solvers_reported(self):
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one",
@@ -371,6 +388,21 @@ class TestOtherStudies:
         print(f"superconvergence rate {result['fitted_rate']:.3f}")
         assert result["fitted_rate"] >= 0.25 + 1 - 0.2
 
+    def test_superconvergence_proxy_is_never_whole(self):
+        # criterion 9's study; its traced peak read 2.50 MB when each level's
+        # whole proxy on 2n (0.41 MB at n = 128) was held, and 1.99 MB
+        # measured block by block
+        config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
+                             samples=200, seed=2024)
+        run_superconvergence_study(dataclasses.replace(config, seed=1))  # set-up caches
+        tracemalloc.start()
+        try:
+            run_superconvergence_study(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25e6, peak
+
     def test_single_solver_studies_reject_solvers_they_do_not_run(self):
         config = dict(hurst=0.25, n0=4, levels=2, samples=2, seed=1)
         with pytest.raises(ValueError):
@@ -424,10 +456,10 @@ class TestBlocks:
         with pytest.raises(NonConvergenceError) as excinfo:
             run_convergence_study(config)
         message = str(excinfo.value)
-        # the first solve of the first block is the reference solve of sample 0
+        # the first solve of the first block is the finest level's solve of sample 0
         assert "seed 4321" in message
         assert "sample m=0" in message
-        assert f"level n={config.reference_n}" in message
+        assert f"level n={max(config.level_ns())}" in message
         assert f"{solver} solver" in message
         assert excinfo.value.iterations == 1
 
@@ -472,6 +504,23 @@ class TestBlocks:
         # sample 4 + 2 + 1: chunk start, block offset, row in the block
         assert str(excinfo.value) == f"seed 31, sample m=7, {solver} solver, level n=4: stalled"
         assert calls == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("solver", ["fem", "greens"])
+    def test_forcing_is_evaluated_once_per_solve_call(self, monkeypatch, solver):
+        # three blocks of two rows share their grid's set-up and its forcing
+        monkeypatch.setattr(experiments, "_block_rows", lambda n: 2)
+        problem = StudyConfig(hurst=0.25, reaction="sin", forcing="one").problem()
+        evaluated = []
+
+        def forcing(x):
+            evaluated.append(len(x))
+            return problem.forcing(x)
+
+        path = IncrementSampler(UniformGrid(8), 0.25, "davies-harte").sample(3, 0, 5)
+        counted = dataclasses.replace(problem, forcing=forcing)
+        values = experiments._solve(solver, counted, path).values
+        assert evaluated == [16]  # two Gauss points on each of 8 cells
+        assert np.array_equal(values, experiments._solve(solver, problem, path).values)
 
     def test_each_grid_solves_blocks_sized_by_itself(self, monkeypatch):
         rows = defaultdict(list)
