@@ -27,7 +27,6 @@ from .fem import (
     Tridiagonal,
     assemble_load,
     ritz_projection,
-    solve_linear_fem,
     solve_nonlinear_fem,
 )
 from .greens import (
@@ -44,7 +43,6 @@ from .noise import (
     StepFunction,
     aggregate_increments,
     fbm_covariance,
-    increment_covariance_matrix,
     ito_isometry,
     plinear_self_isometry,
     singular_kernel_pair_sum,

@@ -160,20 +160,16 @@ def estimate_rate(hs, values) -> tuple:
     return slope, stderr
 
 
-def _coupled_paths(fine: IncrementPath, level_ns) -> dict:
-    """A fine path, or a block of them, and its aggregates onto every level, keyed by cells.
+def _level_path(fine: IncrementPath, n: int) -> IncrementPath:
+    """A fine path, or a block of them, aggregated onto the level with n cells.
 
-    The fine entry is `fine` itself; every other level sums the fine
+    The fine level is `fine` itself; every other level sums the fine
     increments directly, so coarse increments are exact sums of fine ones.
     A level that does not divide the fine grid raises GridMismatchError.
     """
-    paths = {fine.grid.n: fine}
-    for n in level_ns:
-        if fine.grid.n % n:
-            raise GridMismatchError(f"level n={n} does not divide the fine grid n={fine.grid.n}")
-        if n != fine.grid.n:
-            paths[n] = aggregate_increments(fine, fine.grid.n // n)
-    return paths
+    if fine.grid.n % n:
+        raise GridMismatchError(f"level n={n} does not divide the fine grid n={fine.grid.n}")
+    return fine if n == fine.grid.n else aggregate_increments(fine, fine.grid.n // n)
 
 
 # A block's largest array, (rows, 2 n) float64 values on a grid with n cells,
@@ -184,9 +180,10 @@ def _coupled_paths(fine: IncrementPath, level_ns) -> dict:
 # so more blocks cost little time.
 _BLOCK_BYTES = 128 * 1024
 # A chunk's fine increments, (rows, fine_n) float64 values, stay within this
-# many bytes: the chunk's level solutions and coarse paths are of the same
-# order, its reference solution is never whole (each block is measured as it is
-# solved), and none of them grows with the number of samples.
+# many bytes: the chunk's level solutions are of the same order, each coarse
+# path is built where its level is solved, its reference solution is never
+# whole (each block is measured as it is solved), and none of them grows with
+# the number of samples.
 _CHUNK_BYTES = 1024 * 1024
 
 
@@ -218,9 +215,8 @@ def _solved_blocks(solver: str, problem: ProblemSpec, path: IncrementPath, grid=
     solve_nonlinear_fem or solve_hammerstein solves the rows in blocks of
     _block_rows(n) rows, n the solver grid's cells, all with the one solver
     set-up of the grid built here (Gauss points, forcing or stiffness, K
-    map): it lives for this generator only, so threads solving other chunks
-    never share it.  rows is the block's slice of the stack, and a caller
-    that measures each block as it comes never holds the whole solution.  A
+    map).  rows is the block's slice of the stack, and a caller that
+    measures each block as it comes never holds the whole solution.  A
     stall names the solver and the grid, and carries its row in the stack.
     """
     if solver == "fem":
@@ -266,16 +262,14 @@ def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
     Consecutive samples form chunks of _chunk_rows(fine_n, config.level_ns())
     rows, up to threads of them at a time; Cholesky chunks round up to whole
     _TILE-row sampler tiles, ending on tile boundaries.  A chunk is drawn as
-    one block, sample(seed, start, rows), aggregated onto every level, and
-    contributes the rows statistic(paths), one per sample: paths maps every
-    grid n the chunk is coupled to onto its chunk of paths, the fine grid
-    onto the drawn chunk itself, and the statistic solves every grid n in
-    blocks of _block_rows(n) rows (_solved_blocks), measuring each block as
-    it comes.  The dict holds the only reference to the drawn chunk and to
-    each coarse path, so a statistic that pops an entry frees it once it is
-    done with it.  Every row is computed as it would be alone and chunks are
-    collected in index order, so the result depends neither on threads nor
-    on the chunk or block size.  A stall raises
+    one block, sample(seed, start, rows), and contributes the rows
+    statistic(fine), one per sample.  fine is the drawn chunk itself: the
+    statistic builds each level's path from it (_level_path) where it solves
+    that level, so a coarse path lives only while its level is solved, and
+    solves every grid n in blocks of _block_rows(n) rows (_solved_blocks),
+    measuring each block as it comes.  Every row is computed as it would be
+    alone and chunks are collected in index order, so the result depends
+    neither on threads nor on the chunk or block size.  A stall raises
     NonConvergenceError naming the seed, the sample, the level and the
     solver, and a failed factorization of the sampler FactorizationError
     naming the seed, the sampler and fine_n.
@@ -293,11 +287,8 @@ def _coupled_samples(statistic: Callable, config: StudyConfig, fine_n: int,
         rows = -(-rows // _TILE) * _TILE
 
     def worker(start: int) -> np.ndarray:
-        # the drawn chunk gets no name here: the statistic runs while this frame lives
-        paths = _coupled_paths(sampler.sample(seed, start, min(rows, samples - start)),
-                               level_ns)
         try:
-            return statistic(paths)
+            return statistic(sampler.sample(seed, start, min(rows, samples - start)))
         except NonConvergenceError as exc:
             raise NonConvergenceError(f"seed {seed}, sample m={start + exc.row}, {exc}",
                                       exc.residual, exc.iterations) from exc
@@ -336,10 +327,10 @@ def _rate_block(level_ns, squared: np.ndarray) -> dict:
 def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceReport:
     """RMS L2 error against a coupled fine-grid reference, per level.
 
-    Each sample draws one path on the reference grid, aggregates it to all
-    levels, solves on every level and then on the reference with the same
-    solver(s), and records exact L2 distances, reference block by reference
-    block.  Expected rates: H + 1/2 for
+    Each sample draws one path on the reference grid, aggregates it to every
+    level where that level is solved, finest first, then solves the reference
+    with the same solver(s), and records exact L2 distances, reference block
+    by reference block.  Expected rates: H + 1/2 for
     Lipschitz reactions, at least H/2 + 1/4 for monotone bounded ones.
 
     threads bounds how many chunks run at once and is not part of the study:
@@ -352,12 +343,10 @@ def run_convergence_study(config: StudyConfig, threads: int = 1) -> ConvergenceR
     level_ns = config.level_ns()
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def squared_errors(paths: dict) -> np.ndarray:
-        fine = paths.pop(config.reference_n)
+    def squared_errors(fine: IncrementPath) -> np.ndarray:
         solutions = {}
         for n in sorted(level_ns, reverse=True):
-            # the dict's path is popped, so it is freed once every solver has solved it
-            path = paths.pop(n)
+            path = _level_path(fine, n)
             for solver in solvers:
                 solutions[solver, n] = _solve(solver, problem, path, **options)
         del path
@@ -394,10 +383,11 @@ def run_h1_blowup_study(config: StudyConfig, threads: int = 1) -> dict:
     level_ns = config.level_ns()
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def h1_squared(paths: dict) -> np.ndarray:
-        out = np.empty((len(paths[level_ns[0]].increments), len(level_ns)))
+    def h1_squared(fine: IncrementPath) -> np.ndarray:
+        out = np.empty((len(fine.increments), len(level_ns)))
         for j, n in enumerate(level_ns):
-            for block, u in _solved_blocks(config.solver, problem, paths[n], **options):
+            for block, u in _solved_blocks(config.solver, problem, _level_path(fine, n),
+                                           **options):
                 out[block, j] = np.square(u.h1_norm())
         return out
 
@@ -430,12 +420,13 @@ def run_superconvergence_study(config: StudyConfig, threads: int = 1) -> dict:
     level_ns = config.level_ns()
     options = dict(tol=config.tol, max_iters=config.max_iters)
 
-    def projection_gaps(paths: dict) -> np.ndarray:
-        out = np.empty((len(paths[level_ns[0]].increments), len(level_ns)))
+    def projection_gaps(fine: IncrementPath) -> np.ndarray:
+        out = np.empty((len(fine.increments), len(level_ns)))
         for j, n in enumerate(level_ns):
-            fem = _solve("fem", problem, paths[n], **options)
+            path = _level_path(fine, n)
+            fem = _solve("fem", problem, path, **options)
             # each proxy block on 2n is measured as it comes, so no proxy is whole
-            for block, proxy in _solved_blocks("fem", problem, paths[n], grid=UniformGrid(2 * n),
+            for block, proxy in _solved_blocks("fem", problem, path, grid=UniformGrid(2 * n),
                                                **options):
                 u = _rows(fem, block)
                 out[block, j] = np.square(discrete_h1_error(ritz_projection(proxy, u.grid), u))
@@ -623,11 +614,12 @@ def verify_solver_agreement(hurst, reaction: str = "sin", forcing: str = "one",
         raise ValueError(f"level_ns must be a doubling ladder n0, 2 n0, ..., got {ladder}")
     problem, options = config.problem(), dict(tol=config.tol, max_iters=config.max_iters)
 
-    def squared_gaps(paths: dict) -> np.ndarray:
-        out = np.empty((len(paths[level_ns[0]].increments), len(level_ns)))
+    def squared_gaps(fine: IncrementPath) -> np.ndarray:
+        out = np.empty((len(fine.increments), len(level_ns)))
         for j, n in enumerate(level_ns):
-            fem = _solve("fem", problem, paths[n], **options)
-            for block, mild in _solved_blocks("greens", problem, paths[n], **options):
+            path = _level_path(fine, n)
+            fem = _solve("fem", problem, path, **options)
+            for block, mild in _solved_blocks("greens", problem, path, **options):
                 out[block, j] = np.square(discrete_l2_error(_rows(fem, block), mild))
         return out
 

@@ -36,7 +36,6 @@ __all__ = [
     "Tridiagonal",
     "assemble_load",
     "ritz_projection",
-    "solve_linear_fem",
     "solve_nonlinear_fem",
 ]
 
@@ -179,20 +178,6 @@ def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
     stiffness = Tridiagonal(grid, problem.reaction.shift)
     return _Setup(grid.gauss_points(), stiffness, _nodal_apply(grid, stiffness=stiffness),
                   assemble_load(grid, forcing=problem.forcing))
-
-
-def solve_linear_fem(grid: UniformGrid, load: np.ndarray) -> Solution:
-    """Direct stiffness solve of the linear problem -u'' = load functional.
-
-    One stiffness solve with zero boundary values, a stack of loads row by
-    row.  The loop's residual for f = 0, u + K_h 0 - A^-1 load, is exactly 0
-    there, so every row reports residual 0.0 and 0 iterations.
-    """
-    values = _with_boundary(Tridiagonal(grid).solve(load))
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("stiffness solve produced non-finite values")
-    rows = values.shape[:-1] or (1,)
-    return Solution(grid, values, np.zeros(rows), np.zeros(rows, dtype=int))
 
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,

@@ -101,9 +101,8 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
     i/n and (n - i)/n are y and 1 - y at the nodes, and give back G.
 
     A stack of rows phi maps row by row, into `out` when it is given (one
-    row per row of phi).  The running sums go through scratch rows kept from
-    call to call, grown to the largest stack seen, so a loop that passes
-    `out` allocates no stack-sized array here.
+    row per row of phi).  The map keeps no state between calls, so any
+    number of solves may share it at once.
     """
     q, scale = _shifted_stiffness(grid, shift)
     rising = q / q[-1]
@@ -113,14 +112,11 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0):
     # weights of each cell's first and second Gauss point
     left = [weight * up[k::2] for k in (0, 1)]
     right = [weight * down[k::2] for k in (0, 1)]
-    scratch = []  # [above, cells], each with the largest row count seen
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         stack = np.atleast_2d(phi)
         rows = len(stack)
-        if not scratch or len(scratch[0]) < rows:
-            scratch[:] = [np.empty((rows, grid.n + 1)), np.empty((rows, grid.n))]
-        above, cells = (array[:rows] for array in scratch)
+        above, cells = np.empty((rows, grid.n + 1)), np.empty((rows, grid.n))
         below = np.empty((rows, grid.n + 1)) if out is None else out
         first, second = stack[:, 0::2], stack[:, 1::2]
         # each running sum's target holds the second Gauss points' terms first
@@ -174,7 +170,7 @@ class _Setup(NamedTuple):
 
     gauss: np.ndarray  # the grid's Gauss points
     forcing: np.ndarray  # g at them
-    apply_k: Callable  # K_c, with its scratch rows: one solve at a time
+    apply_k: Callable  # K_c
 
 
 def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
@@ -215,8 +211,6 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         setup: the grid's Gauss points, the forcing at them and the K map
             (_set_up(problem, grid)), built here when None; a study builds
             them once per grid and chunk and passes them to every block.
-            The K map keeps scratch rows, so two solves that run at once
-            must not share a set-up.
 
     Returns:
         Solution with nodal values, final residual, iteration count.

@@ -48,7 +48,6 @@ __all__ = [
     "StepFunction",
     "aggregate_increments",
     "fbm_covariance",
-    "increment_covariance_matrix",
     "increments_on",
     "ito_isometry",
     "plinear_self_isometry",
@@ -103,20 +102,6 @@ def _increment_autocovariance(lags: np.ndarray, h: float, H: float) -> np.ndarra
     k = np.asarray(lags, dtype=float)
     two_h = 2.0 * H
     return 0.5 * h**two_h * ((k + 1.0) ** two_h + np.abs(k - 1.0) ** two_h - 2.0 * k**two_h)
-
-
-def increment_covariance_matrix(grid: UniformGrid, hurst) -> np.ndarray:
-    """Exact covariance matrix of the n fBm increments on a uniform grid.
-
-    Stationarity makes the matrix Toeplitz: entry (i, j) depends only on
-    |i - j|, with h^{2H} on the diagonal and negative off-diagonal entries
-    for H < 1/2.
-    """
-    H = _as_hurst(hurst).value
-    rho = _increment_autocovariance(np.arange(grid.n), grid.h, H)
-    # window k of (rho_{n-1}, .., rho_1, rho_0, rho_1, .., rho_{n-1}) is row n-1-k
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rho[:0:-1], rho]), grid.n)
-    return windows[::-1].copy()
 
 
 # A grid whose dense n x n factor, 8 n^2 bytes, would exceed this budget

@@ -46,8 +46,8 @@ MUTANTS = {
                   "tol = tol"),
     # coarse paths sum the fine increments rolled by one cell
     "roll": ("experiments.py",
-             "paths[n] = aggregate_increments(fine, fine.grid.n // n)",
-             "paths[n] = aggregate_increments(IncrementPath(fine.grid, np.roll("
+             "else aggregate_increments(fine, fine.grid.n // n)",
+             "else aggregate_increments(IncrementPath(fine.grid, np.roll("
              "fine.increments, 1, axis=-1)), fine.grid.n // n)"),
     # the FEM noise load weighs each touching cell by 0.55 in place of 1/2
     "load-0.55": ("fem.py",

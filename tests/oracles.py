@@ -6,7 +6,9 @@ by parts against R), with adaptive quadrature for the smooth pieces, and
 the Green's operator of a step density through exact cell integrals of G
 instead of the solver's Gauss weights.  The dense Gauss-weight matrix is the
 oracle for the solver's O(n) application of K, and cellwise Simpson the
-oracle for the exact per-cell L2 formula.
+oracle for the exact per-cell L2 formula.  The dense increment covariance
+and the linear stiffness solve are the reference computations that only
+tests need.
 """
 
 import math
@@ -14,8 +16,9 @@ import math
 import numpy as np
 from scipy import integrate
 
-from fracbvp import (GridFunction, IncrementPath, IncrementSampler, UniformGrid,
-                     fbm_covariance, greens_cell_integrals, greens_function)
+from fracbvp import (GridFunction, IncrementPath, IncrementSampler, Solution, Tridiagonal,
+                     UniformGrid, fbm_covariance, greens_cell_integrals, greens_function)
+from fracbvp import noise
 
 
 def sample_increments(grid, hurst, rng, method="cholesky"):
@@ -77,6 +80,35 @@ def band_matvec(bands, x):
     out[..., 1:] += bands[2, :-1] * x[..., :-1]
     out[..., :-1] += bands[0, 1:] * x[..., 1:]
     return out
+
+
+def increment_covariance_matrix(grid, hurst):
+    """Exact covariance matrix of the n fBm increments on a uniform grid.
+
+    Stationarity makes the matrix Toeplitz: entry (i, j) depends only on
+    |i - j|, with h^{2H} on the diagonal and negative off-diagonal entries
+    for H < 1/2.
+    """
+    H = noise._as_hurst(hurst).value
+    rho = noise._increment_autocovariance(np.arange(grid.n), grid.h, H)
+    # window k of (rho_{n-1}, .., rho_1, rho_0, rho_1, .., rho_{n-1}) is row n-1-k
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rho[:0:-1], rho]), grid.n)
+    return windows[::-1].copy()
+
+
+def solve_linear_fem(grid, load):
+    """Direct stiffness solve of the linear problem -u'' = load functional.
+
+    One stiffness solve with zero boundary values, a stack of loads row by
+    row.  The loop's residual for f = 0, u + K_h 0 - A^-1 load, is exactly 0
+    there, so every row reports residual 0.0 and 0 iterations.
+    """
+    interior = Tridiagonal(grid).solve(load)
+    values = np.pad(interior, [(0, 0)] * (interior.ndim - 1) + [(1, 1)])
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("stiffness solve produced non-finite values")
+    rows = values.shape[:-1] or (1,)
+    return Solution(grid, values, np.zeros(rows), np.zeros(rows, dtype=int))
 
 
 def fbm_cov(x, y, H):

@@ -27,18 +27,18 @@ from fracbvp import (
     StudyConfig,
     UniformGrid,
     assemble_load,
-    increment_covariance_matrix,
     ito_isometry,
     run_convergence_study,
     run_h1_blowup_study,
     run_superconvergence_study,
-    solve_linear_fem,
     verify_convolution_error_decay,
     verify_isometry,
     verify_kernel_pair_sum,
     verify_noise_norm,
     verify_solver_agreement,
 )
+
+from oracles import increment_covariance_matrix, solve_linear_fem
 
 _LINES = []
 

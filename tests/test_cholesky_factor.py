@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracbvp import FactorizationError, IncrementSampler, UniformGrid, increment_covariance_matrix
+from fracbvp import FactorizationError, IncrementSampler, UniformGrid
 from fracbvp import noise as noise_module
+
+from oracles import increment_covariance_matrix
 
 
 def _assembled(n: int, H: float) -> np.ndarray:

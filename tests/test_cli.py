@@ -243,13 +243,13 @@ class TestConverge:
         monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", 16 * 64 * 2)
         monkeypatch.setattr(experiments, "_TILE", 1)
-        chunks, coupled_paths = [], experiments._coupled_paths
+        chunks, sample = [], fracbvp.IncrementSampler.sample
 
-        def spy(fine, level_ns):
-            chunks.append(len(fine.increments))
-            return coupled_paths(fine, level_ns)
+        def spy(self, seed, first=0, count=None):
+            chunks.append(count)
+            return sample(self, seed, first, count)
 
-        monkeypatch.setattr(experiments, "_coupled_paths", spy)
+        monkeypatch.setattr(fracbvp.IncrementSampler, "sample", spy)
         base = ["converge", "--hurst", "0.25", "--ladder", "8:2", "--samples",
                 "6", "--seed", "11", "--format", "json"]
         _, serial, _ = _run(capsys, base + ["--threads", "1"])

@@ -19,7 +19,6 @@ from fracbvp import (
     UniformGrid,
     estimate_rate,
     greens_cell_integrals,
-    increment_covariance_matrix,
     run_convergence_study,
     run_h1_blowup_study,
     run_superconvergence_study,
@@ -34,22 +33,24 @@ from fracbvp import experiments
 from fracbvp import fem as fem_module
 from fracbvp import noise as noise_module
 from fracbvp.errors import FactorizationError, GridMismatchError, NonConvergenceError
-from fracbvp.experiments import _coupled_paths, kernel_pair_sum_quadrature
+from fracbvp.experiments import _level_path, kernel_pair_sum_quadrature
 from fracbvp.noise import (IncrementPath, StepFunction, aggregate_increments,
                            singular_kernel_pair_sum)
 from fracbvp.problem import damped_fixed_point
+
+from oracles import increment_covariance_matrix
 
 
 @pytest.fixture
 def drawn_chunks(monkeypatch):
     """Rows of every chunk a study draws, in the order they are drawn."""
-    rows, coupled_paths = [], experiments._coupled_paths
+    rows, sample = [], IncrementSampler.sample
 
-    def spy(fine, level_ns):
-        rows.append(len(fine.increments))
-        return coupled_paths(fine, level_ns)
+    def spy(self, seed, first=0, count=None):
+        rows.append(count)
+        return sample(self, seed, first, count)
 
-    monkeypatch.setattr(experiments, "_coupled_paths", spy)
+    monkeypatch.setattr(IncrementSampler, "sample", spy)
     return rows
 
 
@@ -195,8 +196,8 @@ class TestCoupling:
     def test_levels_share_the_fine_path(self, rng):
         fine = IncrementPath(UniformGrid(64),
                              IncrementSampler(UniformGrid(64), 0.25).sample_many(rng, 1)[0])
-        paths = _coupled_paths(fine, [8, 16, 32, 64])
-        for n, path in paths.items():
+        for n in [8, 16, 32, 64]:
+            path = _level_path(fine, n)
             assert path.grid.n == n
             # each coarse increment is the exact sum of its fine children
             blocks = fine.increments.reshape(n, 64 // n).sum(axis=1)
@@ -206,9 +207,8 @@ class TestCoupling:
         # a study-sized Cholesky chunk: 200 rows on 512 cells, levels 16..128
         sampler = IncrementSampler(UniformGrid(512), 0.25)
         chunk = sampler.sample(2024, 0, 200)
-        paths = _coupled_paths(chunk, [16, 32, 64, 128])
+        paths = {n: _level_path(chunk, n) for n in [16, 32, 64, 128, 512]}
         assert paths[512] is chunk
-        assert sorted(paths) == [16, 32, 64, 128, 512]
         for n in (16, 32, 64):
             # halving the next finer level sums the same increments in another order
             chained = aggregate_increments(paths[2 * n], 2)
@@ -221,7 +221,7 @@ class TestCoupling:
         # floor division would hand level 16 the fine path itself
         fine = IncrementPath(UniformGrid(24), np.ones((2, 24)))
         with pytest.raises(GridMismatchError, match=f"level n={level} .* fine grid n=24"):
-            _coupled_paths(fine, [level, 24])
+            _level_path(fine, level)
 
 
 class TestConvergenceStudy:
@@ -274,20 +274,19 @@ class TestConvergenceStudy:
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=8, levels=3,
                              samples=40, seed=5, solver="both")
         coarse, solves = {}, []
-        coupled_paths, solve = experiments._coupled_paths, experiments._solve
+        aggregate, solve = experiments.aggregate_increments, experiments._solve
 
-        def paths_spy(fine, level_ns):
-            paths = coupled_paths(fine, level_ns)
-            coarse.update((n, weakref.ref(path.increments)) for n, path in paths.items()
-                          if n != fine.grid.n)
-            return paths
+        def aggregate_spy(fine, factor):
+            path = aggregate(fine, factor)
+            coarse[path.grid.n] = weakref.ref(path.increments)
+            return path
 
         def solve_spy(solver, problem, path, grid=None, **options):
             dead = sorted(n for n, increments in coarse.items() if increments() is None)
             solves.append((solver, path.grid.n, dead))
             return solve(solver, problem, path, grid, **options)
 
-        monkeypatch.setattr(experiments, "_coupled_paths", paths_spy)
+        monkeypatch.setattr(experiments, "aggregate_increments", aggregate_spy)
         monkeypatch.setattr(experiments, "_solve", solve_spy)
         run_convergence_study(config)
         # finest level first, by both solvers; a level's path is dead before
@@ -442,6 +441,17 @@ class TestBlocks:
                 assert self._outputs(threads=3) == reports[rows]
         assert reports[1] == reports[7] == reports[self.SAMPLES]
 
+    def test_blocks_that_start_inside_a_chunk_do_not_change_results(self, monkeypatch):
+        # the grids of 16 cells and more (every study's fine grid, the
+        # proxies on 32 and the reference on 64) solve blocks of 3 rows while
+        # one chunk holds all the samples, so most blocks start inside it
+        unpatched = json.dumps(self._outputs(), sort_keys=True)
+        block_rows = experiments._block_rows
+        monkeypatch.setattr(experiments, "_block_rows", lambda n: 3 if n >= 16 else block_rows(n))
+        assert experiments._chunk_rows(16, [4, 8, 16]) >= self.SAMPLES
+        assert experiments._chunk_rows(64, [4, 8, 16]) >= self.SAMPLES
+        assert json.dumps(self._outputs(), sort_keys=True) == unpatched
+
     def test_rows_per_block_follow_the_sampling_grid(self):
         # one (rows, 2n) float64 array of a block stays within 128 KiB
         assert experiments._block_rows(512) == 16
@@ -467,11 +477,11 @@ class TestBlocks:
         monkeypatch.setattr(experiments, "_block_rows", lambda fine_n: 2)
         blocks = []
 
-        def statistic(paths):
-            blocks.append(len(paths[8].increments))
+        def statistic(fine):
+            blocks.append(len(fine.increments))
             if len(blocks) == 2:  # rows 2 and 3; the second one stalls
                 raise NonConvergenceError("stalled", residual=1.0, iterations=9, row=1)
-            return np.zeros((len(paths[8].increments), 1))
+            return np.zeros((len(fine.increments), 1))
 
         # Davies-Harte chunks keep their two rows; Cholesky ones fill a sampler tile
         with pytest.raises(NonConvergenceError) as excinfo:

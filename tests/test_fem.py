@@ -18,14 +18,14 @@ from fracbvp import (
     ritz_projection,
     run_superconvergence_study,
     solve_hammerstein,
-    solve_linear_fem,
     solve_nonlinear_fem,
 )
 from fracbvp import experiments
 from fracbvp.errors import GridMismatchError, NonConvergenceError
 from fracbvp.fem import Tridiagonal
 
-from oracles import band_matvec, from_callable, sample_increments, stiffness_bands
+from oracles import (band_matvec, from_callable, sample_increments, solve_linear_fem,
+                     stiffness_bands)
 
 
 class TestTridiagonal:

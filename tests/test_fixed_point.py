@@ -148,11 +148,11 @@ def test_study_names_the_sample_of_a_non_finite_residual(monkeypatch, solver):
     spec = _nan_off_zero()
     blocks = []
 
-    def statistic(paths):
-        blocks.append(len(paths[8].increments))
+    def statistic(fine):
+        blocks.append(len(fine.increments))
         # the second block's first row keeps zero noise and stops at once
         scale = np.array([0.0, 1.0]) if len(blocks) == 2 else np.zeros(2)
-        path = IncrementPath(paths[8].grid, paths[8].increments * scale[:, None])
+        path = IncrementPath(fine.grid, fine.increments * scale[:, None])
         experiments._solve(solver, spec, path)
         return np.zeros((2, 1))
 

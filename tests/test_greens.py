@@ -1,6 +1,9 @@
 """Green's function machinery and the mild (Hammerstein) solver."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from scipy.linalg import solve_banded
 
 from fracbvp import (
     GridFunction,
+    IncrementPath,
+    IncrementSampler,
     ProblemSpec,
     UniformGrid,
     aggregate_increments,
@@ -325,6 +330,35 @@ class TestHammersteinOperators:
         # cell add up to the exact integral of G over it
         cells = greens_cell_integrals(grid.nodes(), grid)
         assert np.abs(weights[:, 0::2] + weights[:, 1::2] - cells).max() <= 1e-15 * cells.max()
+
+    def test_one_set_up_serves_two_threads_at_once(self):
+        # the K map keeps no state between calls, so two threads solving
+        # blocks of different sizes on one set-up get every row as alone.
+        # Frequent switches give the interleavings a chance: a K map that
+        # kept its running sums between calls failed dozens of these solves
+        grid = UniformGrid(256)
+        problem = ProblemSpec.from_labels(0.25, "sin", "one")
+        setup = greens._set_up(problem, grid)
+        sampler = IncrementSampler(grid, 0.25, "davies-harte")
+        blocks = [sampler.sample(1, 0, 3), sampler.sample(2, 0, 5)]
+        alone = [np.array([solve_hammerstein(problem, IncrementPath(grid, row)).values
+                           for row in block.increments]) for block in blocks]
+        start = Barrier(2)
+
+        def solve(block):
+            start.wait()
+            return [solve_hammerstein(problem, block, setup=setup).values for _ in range(100)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                shared = list(pool.map(solve, blocks))
+        finally:
+            sys.setswitchinterval(interval)
+        for runs, expected in zip(shared, alone):
+            for values in runs:
+                assert np.array_equal(values, expected)
 
     def test_no_solve_reaches_the_cell_integrals(self, rng, monkeypatch):
         # K is applied without a kernel matrix, so no solve evaluates G or

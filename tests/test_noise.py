@@ -22,7 +22,6 @@ from fracbvp import (
     UniformGrid,
     aggregate_increments,
     fbm_covariance,
-    increment_covariance_matrix,
     ito_isometry,
     plinear_self_isometry,
     singular_kernel_pair_sum,
@@ -31,8 +30,9 @@ from fracbvp import (
 from fracbvp import noise as noise_module
 from fracbvp.errors import GridMismatchError
 
-from oracles import (cumulative, ito_isometry_via_covariance, plinear_second_moment_oracle,
-                     sample_increments, step_noise, step_second_moment_oracle)
+from oracles import (cumulative, increment_covariance_matrix, ito_isometry_via_covariance,
+                     plinear_second_moment_oracle, sample_increments, step_noise,
+                     step_second_moment_oracle)
 
 HURSTS = [0.1, 0.25, 0.4, 0.5]
 

@@ -149,9 +149,9 @@ def test_solve_draws_the_path_of_study_sample_zero(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "u.csv")]) == 0
     chunks = []
 
-    def statistic(paths):
-        chunks.append(paths[512].increments)
-        return np.zeros((len(paths[512].increments), 1))
+    def statistic(fine):
+        chunks.append(fine.increments)
+        return np.zeros((len(fine.increments), 1))
 
     experiments._coupled_samples(statistic, StudyConfig(0.25, n0=256, levels=2, samples=40,
                                                         seed=11),
