@@ -73,37 +73,39 @@ class Tridiagonal:
         object.__setattr__(self, "_back", 1.0 / (q[1:-1] * q[2:]))
         object.__setattr__(self, "_scale", q[1:-1] / s)
 
-    def solve(self, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, check_finite: bool = True,
+              out: np.ndarray = None) -> np.ndarray:
         """The stiffness solve by two running sums along the last axis.
 
         ValueError on a right-hand side whose last axis is not the interior
         nodes, and on a non-finite one unless check_finite is False (a
-        non-finite entry then spreads along its row).  Running sums add in
-        order along each row, so a stack of rows solves bit for bit as each
-        row alone."""
+        non-finite entry then spreads along its row).  Both sums run in
+        place in the result, which goes to `out` when it is given (out may
+        be rhs itself).  Running sums add in order along each row, so a
+        stack of rows solves bit for bit as each row alone."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[-1:] != self._ramp.shape:
             raise ValueError("right-hand side does not match the interior nodes")
         if check_finite:
             _require_finite(rhs)
-        z = self._ramp * rhs
-        np.cumsum(z, axis=-1, out=z)
-        z *= self._back
-        x = np.empty_like(z)
-        np.cumsum(z[..., ::-1], axis=-1, out=x[..., ::-1])
+        x = np.multiply(self._ramp, rhs, out=out)
+        np.cumsum(x, axis=-1, out=x)
+        x *= self._back
+        np.cumsum(x[..., ::-1], axis=-1, out=x[..., ::-1])
         x *= self._scale
         return x
 
 
-def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray) -> np.ndarray:
-    """Interior load vector (v, phi_j) from values at the per-cell Gauss points."""
+def _gauss_assemble(grid: UniformGrid, values_at_gauss: np.ndarray,
+                    out: np.ndarray = None) -> np.ndarray:
+    """Interior load vector (v, phi_j) from values at the per-cell Gauss points, into out."""
     t_lo, t_hi = GAUSS_OFFSETS
     w = 0.5 * grid.h
     lo, hi = values_at_gauss[..., 0::2], values_at_gauss[..., 1::2]
     to_left = w * ((1.0 - t_lo) * lo + (1.0 - t_hi) * hi)
     to_right = w * (t_lo * lo + t_hi * hi)
     # interior node j collects from its right cell j and its left cell j-1
-    return to_left[..., 1:] + to_right[..., :-1]
+    return np.add(to_left[..., 1:], to_right[..., :-1], out=out)
 
 
 def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -> np.ndarray:
@@ -149,17 +151,22 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0, stiffness: Tridiagonal =
     Green's-function quadrature of greens._nodal_apply.  With a shift c the
     map is K_c = (A + c M)^-1 of the same load, the FEM solution of
     -u'' + c u = phi, which is (I + c K_h)^-1 K_h at the nodes.  A stack of
-    rows phi maps row by row, into `out` when it is given.  `stiffness` is
+    rows phi maps row by row, into `out` when it is given: the load is
+    assembled into its interior and solved there in place.  `stiffness` is
     Tridiagonal(grid, shift) when the caller has built it already.
     """
     if stiffness is None:
         stiffness = Tridiagonal(grid, shift)
 
     def apply(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(phi.shape[:-1] + (grid.n + 1,))
+        out[..., 0] = out[..., -1] = 0.0
+        interior = _gauss_assemble(grid, phi, out=out[..., 1:-1])
         # unchecked: the fixed-point loop checks its right-hand side and
         # every residual for non-finite values
-        return _with_boundary(stiffness.solve(_gauss_assemble(grid, phi), check_finite=False),
-                              out)
+        stiffness.solve(interior, check_finite=False, out=interior)
+        return out
 
     return apply
 

@@ -71,7 +71,10 @@ def _row_dot(a: np.ndarray, b: np.ndarray):
     Taken by einsum's own loops (no BLAS) in blocks of _DOT_BLOCK added in
     order, a strided last axis made contiguous, so each row rounds as alone.
     """
-    a, b = (x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x) for x in (a, b))
+    if a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    if b.strides[-1] != b.itemsize:
+        b = np.ascontiguousarray(b)
     if a.shape[-1] <= _DOT_BLOCK:
         return np.einsum("...i,...i->...", a, b)
     dots = [np.einsum("...i,...i->...", a[..., k:k + _DOT_BLOCK], b[..., k:k + _DOT_BLOCK])

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import FactorizationError, GridMismatchError
 from .grids import GridFunction, UniformGrid
+from .seeding import pcg64_states
 
 __all__ = [
     "HurstIndex",
@@ -231,8 +232,10 @@ class IncrementSampler:
     violated numerically.
 
     Every sample has an index m and consumes one standard_normal block of
-    draws_per_sample values, from default_rng([seed, m]) in sample() and
-    from one Generator's stream in sample_many().  Draws are transformed a
+    draws_per_sample values: in sample() the normals of default_rng([seed, m]),
+    drawn from PCG64 states computed once per call (tests/test_seeding.py
+    pins them to default_rng's bit for bit), and in sample_many() from one
+    Generator's stream.  Draws are transformed a
     block of rows at a time: Cholesky as one product of a (_TILE, n) tile
     with each panel of the factor, sample m at row m % _TILE of a
     zero-padded tile, Davies-Harte as one irfft of up to _FFT_ROWS rows.  A
@@ -312,17 +315,26 @@ class IncrementSampler:
     def sample(self, seed: int, first: int = 0, count: int = None) -> IncrementPath:
         """Sample `first` of a seed, or the stack of its samples first .. first + count - 1.
 
-        Sample m always takes its standard normals from default_rng([seed, m]),
+        Sample m always takes the standard normals of default_rng([seed, m]),
         so a study's chunk, a single solve and a replay of one sample draw
         the same path for it.  count None returns one path, an int a stack
-        of count rows.  Each Generator is made while its row is filled.
+        of count rows.  No Generator is made per row: every row's PCG64
+        state is computed once per call (seeding.pcg64_states), and one
+        PCG64 and Generator pair, set to each state in turn, fills the rows;
+        the normals are default_rng's bit for bit (tests/test_seeding.py).
+        ValueError for a negative seed or sample index.
         """
         rows = 1 if count is None else count
-        indices = iter(range(first, first + rows))
+        states = pcg64_states(seed, first, rows)
+        bits = np.random.PCG64(0)
+        normals = np.random.Generator(bits)
 
         def fill(part):
             for row in part:
-                np.random.default_rng([seed, next(indices)]).standard_normal(out=row)
+                state, inc = next(states)
+                bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                              "has_uint32": 0, "uinteger": 0}
+                normals.standard_normal(out=row)
 
         draws = self._draw(fill, rows, first)
         return IncrementPath(self.grid, draws[0] if count is None else draws)

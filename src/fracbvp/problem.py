@@ -126,6 +126,47 @@ def _solve_gram(gram: np.ndarray, right: np.ndarray):
     return system[:, depth], (pivots <= floor).any(axis=0), ~empty.any(axis=0)
 
 
+def _residual_norm(grid: UniformGrid, d: np.ndarray) -> np.ndarray:
+    """Exact L2 norm of every nodal row of d, piecewise linear on the grid."""
+    return _linear_l2(grid.h, d[:, :-1], d[:, 1:])
+
+
+def _anderson_correction(df: np.ndarray, dg: np.ndarray, gram: np.ndarray, d: np.ndarray,
+                         damped: np.ndarray, grew: np.ndarray, iteration: int,
+                         out: np.ndarray) -> np.ndarray:
+    """The Anderson correction of each row's damped step at an iteration >= 1, into out.
+
+    df and dg (rows, depth, width) hold the rows' histories of residual and
+    damped-iterate differences, gram (depth, depth, rows) their Gram
+    matrices; d is the residual negated, damped the step's -theta f, and
+    grew is True for the rows whose residual grew.  The newest slot,
+    (iteration - 1) % depth, is completed with d and damped, its Gram
+    entries and the right sides df . d are dot products along each row's
+    last axis, and the correction is the slots' combination by the Gram
+    solution.  All of it runs on the live slots, the first
+    min(iteration, depth): the others still hold the zeros they started
+    with, and would add only exact zeros.  A row restarts (its history and
+    Gram matrix are zeroed and its correction is 0) when a pivot of its
+    Gram system collapses, or when its residual grew and its history is
+    full.  A history with an empty slot is never full, whether it still
+    fills after the start or refills after a restart, or the plain damped
+    steps its row takes could cycle (sqrt-clip's do).
+    """
+    depth = df.shape[1]
+    live = min(iteration, depth)
+    newest = (iteration - 1) % depth
+    df[:, newest] -= d
+    dg[:, newest] -= damped
+    history = df[:, :live]
+    gram[newest, :live] = gram[:live, newest] = _row_dot(history, df[:, newest, None]).T
+    gamma, collapsed, full = _solve_gram(gram[:live, :live], _row_dot(history, d[:, None]).T)
+    restart = collapsed | (full & grew) if live == depth else collapsed
+    if restart.any():
+        gamma[:, restart] = gram[..., restart] = 0.0
+        df[restart] = dg[restart] = 0.0
+    return np.einsum("rji,jr->ri", dg[:, :live], gamma, out=out)
+
+
 def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                        apply_k: Callable, tol: float, max_iters: int,
                        label: str, gauss: np.ndarray = None) -> Solution:
@@ -158,7 +199,10 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     u + theta f whose residual differences best cancel f.  Each row keeps
     its own history of those differences, and restarts it (one plain step)
     when a pivot of its Gram system collapses or a step taken with a full
-    history lets its residual grow.
+    history lets its residual grow.  The update (_anderson_correction) runs
+    on the live slots only, the first min(iteration, ANDERSON_DEPTH): the
+    others still hold their starting zeros, which would add exact zeros,
+    and a history with such a slot is never full.
 
     Only the rows still iterating are worked on, in buffers set up once per
     call, their leading rows being the active ones.  A row stops at the
@@ -232,7 +276,8 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                 # (a view of) its argument is copied before it is scaled
                 if np.may_share_memory(values, at_gauss):
                     values = values.copy()
-                at_gauss *= shift
+                if shift != 1.0:  # u times 1.0 is u, bit for bit
+                    at_gauss *= shift
                 values = np.subtract(values, at_gauss, out=at_gauss)
             d = apply_k(values, out=defects[:count])
             del values
@@ -241,7 +286,7 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
         else:
             # the zero start needs no reaction or K: f(., 0) = 0, so d = -rhs
             d = np.subtract(0.0, target, out=defects[:count])
-        residual, last = _linear_l2(grid.h, d[:, :-1], d[:, 1:]), residual
+        residual, last = _residual_norm(grid, d), residual
         finite = np.isfinite(residual)
         if not finite.all():
             raise NonConvergenceError(
@@ -264,27 +309,15 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
         if iteration == max_iters:
             break
         df, dg = f_history[:count], g_history[:count]
-        newest, oldest = (iteration - 1) % depth, iteration % depth
+        oldest = iteration % depth
         step_out = scratch[:count * width].reshape(count, width)
         damped = d if theta == 1.0 else np.multiply(d, theta, out=step_out)
         active -= damped  # damped is -theta f: the damped step u + theta f
         if iteration:
-            df[:, newest] -= d
-            dg[:, newest] -= damped
-            # the newest slot's Gram entries and the right sides df . d, as
-            # dot products along each row's last axis
-            gram[newest] = gram[:, newest] = _row_dot(df, df[:, newest, None]).T
-            gamma, collapsed, full = _solve_gram(gram, _row_dot(df, d[:, None]).T)
-            # a full history whose step let the residual grow restarts; a row
-            # still refilling its history after a restart does not, or the
-            # plain damped steps it takes could cycle (sqrt-clip's do)
-            restart = collapsed | (full & (residual > last))
-            if restart.any():
-                gamma[:, restart] = gram[..., restart] = 0.0
-                df[restart] = dg[restart] = 0.0
-            # the history's combination corrects the damped step; formed in the
-            # scratch, as the oldest slot is one of its terms, it then takes that slot
-            step = dg[:, oldest] = np.einsum("rji,jr->ri", dg, gamma, out=step_out)
+            # formed in the scratch, as the oldest slot may be one of its
+            # terms, the correction then takes that slot
+            step = dg[:, oldest] = _anderson_correction(df, dg, gram, d, damped,
+                                                        residual > last, iteration, step_out)
             active += step
         df[:, oldest] = d
     residuals[rows] = residual

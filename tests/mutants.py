@@ -73,6 +73,15 @@ MUTANTS = {
                       "max(block.start - _block_rows(fine.grid.n), 0), "
                       "max(block.start - _block_rows(fine.grid.n), 0) + block.stop - block.start"
                       ")), reference))"),
+    # PCG64 takes each sample's stream increment as its state, and the reverse
+    "pcg-swap": ("noise.py",
+                 '"state": {"state": state, "inc": inc}',
+                 '"state": {"state": inc, "inc": state}'),
+    # a history with an empty slot counts as full, so a row whose residual
+    # grows restarts while its history still fills
+    "empty-full": ("problem.py",
+                   "restart = collapsed | (full & grew) if live == depth else collapsed",
+                   "restart = collapsed | (full & grew)"),
 }
 
 

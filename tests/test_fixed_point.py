@@ -12,14 +12,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fracbvp import (IncrementPath, IncrementSampler, ProblemSpec, ReactionTerm, UniformGrid,
                      aggregate_increments, make_forcing, solve_hammerstein,
                      solve_nonlinear_fem)
 from fracbvp import experiments, fem, greens, problem
 from fracbvp.errors import NonConvergenceError
+from fracbvp.grids import _row_dot
 
 SOLVERS = {"fem": solve_nonlinear_fem, "greens": solve_hammerstein}
+# history entries of either sign from 1e-100 to 1e100, or zero: no Gram
+# entry, product or Tikhonov term of theirs underflows or overflows
+FINITE = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -197,11 +204,51 @@ class TestGramSolve:
         assert not collapsed.any()
         assert not full.any()
 
+    @given(basis=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(DEPTH), st.integers(1, 9)),
+                        elements=FINITE),
+           d=arrays(np.float64, 9, elements=FINITE), live=st.integers(1, DEPTH - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_live_slots_solve_as_the_whole_system(self, basis, d, live):
+        # the loop solves only the live slots while its history fills (the
+        # first `live`); the empty ones, as the whole system holds them,
+        # must change no coefficient of a live slot by a bit, nor a flag
+        basis[:, live:] = 0.0
+        gram = _row_dot(basis[:, :, None], basis[:, None, :]).transpose(1, 2, 0)
+        right = _row_dot(basis, d[:basis.shape[-1]]).T
+        whole, whole_collapsed, _ = problem._solve_gram(gram, right)
+        part, part_collapsed, _ = problem._solve_gram(gram[:live, :live], right[:live])
+        assert part.tobytes() == whole[:live].tobytes()
+        assert part_collapsed.tolist() == whole_collapsed.tolist()
+
     def test_dependent_slots_collapse_a_pivot(self, rng):
         basis = rng.normal(size=(2, self.DEPTH, 40))
         basis[1, -1] = basis[1, 0]  # row 1 holds the same difference twice
         _, _, collapsed, _ = self._solve(basis, rng.normal(size=(2, self.DEPTH)))
         assert collapsed.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("iteration", [1, 2, 3, 4])
+def test_growth_restarts_a_row_only_once_its_history_is_full(iteration, rng):
+    # row 0's residual grew, row 1's did not.  Growth restarts a row (its
+    # history is zeroed and its correction is 0) only once every slot is
+    # live; while the history still fills, its empty slots never count it
+    # as full, as a damped step refilling a history could otherwise cycle
+    depth, rows, width = problem.ANDERSON_DEPTH, 2, 9
+    live = min(iteration, depth)
+    f_history, g_history = np.zeros((2, rows, depth, width))
+    f_history[:, :live] = rng.normal(size=(rows, live, width))
+    g_history[:, :live] = rng.normal(size=(rows, live, width))
+    gram = np.einsum("rik,rjk->ijr", f_history, f_history)
+    d = rng.normal(size=(rows, width))
+    correction = problem._anderson_correction(f_history, g_history, gram, d, d,
+                                              np.array([True, False]), iteration,
+                                              np.empty((rows, width)))
+    restarted = iteration >= depth
+    assert (correction[0] == 0.0).all() == restarted
+    assert (f_history[0] == 0.0).all() == restarted
+    assert (gram[..., 0] == 0.0).all() == restarted
+    assert not (correction[1] == 0.0).all()
+    assert not (f_history[1] == 0.0).all()
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
