@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import FactorizationError, GridMismatchError, NonConvergenceError
-from .fem import _set_up as _fem_set_up
+from .fem import _discretize as _fem_discretize
 from .fem import ritz_projection, solve_nonlinear_fem
-from .greens import _set_up as _greens_set_up
+from .greens import _discretize as _greens_discretize
 from .greens import convolution_error_second_moment, solve_hammerstein
 from .grids import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
 from .noise import (
@@ -176,7 +176,7 @@ def _level_path(fine: IncrementPath, n: int) -> IncrementPath:
 # stays within this many bytes, and so do the solver loop's buffers of one row
 # length, whatever the grid.  The loop holds about ten such arrays, and a
 # study's peak memory is reached inside a block solve, so the budget is small;
-# a grid's solver set-up is built once per _solved_blocks call, not per block,
+# a grid's Discretization is built once per _solved_blocks call, not per block,
 # so more blocks cost little time.
 _BLOCK_BYTES = 128 * 1024
 # A chunk's fine increments, (rows, fine_n) float64 values, stay within this
@@ -210,21 +210,21 @@ def _chunk_rows(fine_n: int, level_ns) -> int:
 
 def _solved_blocks(solver: str, problem: ProblemSpec, path: IncrementPath, grid=None,
                    **options):
-    """Nodal solutions of a stack of paths, yielded as (rows, GridFunction) block by block.
+    """Solutions of a stack of paths, yielded as (rows, Solution) block by block.
 
     solve_nonlinear_fem or solve_hammerstein solves the rows in blocks of
-    _block_rows(n) rows, n the solver grid's cells, all with the one solver
-    set-up of the grid built here (Gauss points, forcing or stiffness, K
-    map).  rows is the block's slice of the stack, and a caller that
-    measures each block as it comes never holds the whole solution.  A
-    stall names the solver and the grid, and carries its row in the stack.
+    _block_rows(n) rows, n the solver grid's cells, all with the one
+    Discretization of the grid built here.  rows is the block's slice of the
+    stack, its Solution carries those rows' iteration counts and residuals,
+    and a caller that measures each block as it comes never holds the whole
+    solution.  A stall names the solver and the grid, and its row in the stack.
     """
     if solver == "fem":
-        solve, set_up = solve_nonlinear_fem, _fem_set_up
+        solve, discretize = solve_nonlinear_fem, _fem_discretize
     else:
-        solve, set_up = solve_hammerstein, _greens_set_up
+        solve, discretize = solve_hammerstein, _greens_discretize
     grid = grid or path.grid
-    setup = set_up(problem, grid)
+    setup = discretize(problem, grid)
     for block in _blocks(len(path.increments), grid.n):
         try:
             solution = solve(problem, IncrementPath(path.grid, path.increments[block]),
@@ -233,7 +233,7 @@ def _solved_blocks(solver: str, problem: ProblemSpec, path: IncrementPath, grid=
             raise NonConvergenceError(f"{solver} solver, level n={grid.n}: {exc}",
                                       exc.residual, exc.iterations,
                                       block.start + exc.row) from exc
-        yield block, GridFunction(grid, solution.values)
+        yield block, solution
         del solution  # only the caller may keep a block through the next solve
 
 

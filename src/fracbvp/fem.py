@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grids import GAUSS_OFFSETS, GridFunction, UniformGrid, _shifted_stiffness
 from .noise import IncrementPath, increments_on
-from .problem import ProblemSpec, Solution, damped_fixed_point
+from .problem import Discretization, ProblemSpec, Solution, damped_fixed_point
 
 __all__ = [
     "Tridiagonal",
@@ -131,17 +130,6 @@ def assemble_load(grid: UniformGrid, forcing=None, path: IncrementPath = None) -
     return load
 
 
-def _with_boundary(interior: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Nodal values from interior ones and zero boundary data, row by row.
-
-    The result goes to `out` when it is given."""
-    if out is None:
-        out = np.empty(interior.shape[:-1] + (interior.shape[-1] + 2,))
-    out[..., 0] = out[..., -1] = 0.0
-    out[..., 1:-1] = interior
-    return out
-
-
 def _nodal_apply(grid: UniformGrid, shift: float = 0.0, stiffness: Tridiagonal = None):
     """The map from Gauss-point values of phi to the Galerkin K_h phi at the nodes.
 
@@ -171,25 +159,32 @@ def _nodal_apply(grid: UniformGrid, shift: float = 0.0, stiffness: Tridiagonal =
     return apply
 
 
-class _Setup(NamedTuple):
-    """What every FEM solve on one grid shares, for one problem."""
+def _discretize(problem: ProblemSpec, grid: UniformGrid) -> Discretization:
+    """The Galerkin Discretization of a grid: built once, it serves every block solved on it.
 
-    gauss: np.ndarray  # the grid's Gauss points
-    stiffness: Tridiagonal  # A + c M, c the reaction's shift
-    apply_k: Callable  # K_c, through the same stiffness
-    forcing_load: np.ndarray  # the forcing's load (g, phi_j)
-
-
-def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
-    """The FEM set-up of a grid: built once, it serves every block solved on it."""
+    One shifted stiffness A + c M serves K_c and the rhs, (A + c M)^-1 of
+    the forcing's load (assembled here) and the noise's, solved straight
+    into the interior of a zero-ended array, as K_c's own solve is.
+    """
     stiffness = Tridiagonal(grid, problem.reaction.shift)
-    return _Setup(grid.gauss_points(), stiffness, _nodal_apply(grid, stiffness=stiffness),
-                  assemble_load(grid, forcing=problem.forcing))
+    forcing_load = assemble_load(grid, forcing=problem.forcing)
+
+    def rhs(path: IncrementPath) -> np.ndarray:
+        # (0 + noise) + (0 + g) rounds as (0 + g) + noise does: addition
+        # commutes, and a zero's sign cannot change either sum
+        load = assemble_load(grid, path=path) + forcing_load
+        nodal = np.zeros(load.shape[:-1] + (grid.n + 1,))
+        # a non-finite load is reported by the loop, as the Green's solver's is
+        stiffness.solve(load, check_finite=False, out=nodal[..., 1:-1])
+        return nodal
+
+    return Discretization(grid, grid.gauss_points(), _nodal_apply(grid, stiffness=stiffness),
+                          rhs, "FEM fixed-point iteration")
 
 
 def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
                         grid: UniformGrid = None, tol: float = 1e-10,
-                        max_iters: int = 500, *, setup: _Setup = None) -> Solution:
+                        max_iters: int = 500, *, setup: Discretization = None) -> Solution:
     """Galerkin solution of -u'' + f(x, u) = g + noise.
 
     The fixed point u + K_h f(., u) = A^-1 load of problem.damped_fixed_point,
@@ -215,24 +210,19 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             A^-1 load, the same rule as the Green's solver's (met through
             the shifted residual when c != 0; see damped_fixed_point).
         max_iters: cap; NonConvergenceError beyond it.
-        setup: the grid's Gauss points, shifted stiffness, K map and
-            forcing load (_set_up(problem, grid)), built here when None; a
-            study builds them once per grid and chunk and passes them to
-            every block.
+        setup: the Discretization of the solver grid, _discretize(problem,
+            grid) (its Gauss points, K map and rhs, which share one shifted
+            stiffness and the forcing's load), built here when None; a
+            study builds one per grid and chunk and passes it to every
+            block.  A grid other than its own raises ValueError.
     """
     if path is None and grid is None:
         raise ValueError("need either a noise path or a grid")
-    if grid is None:
-        grid = path.grid
     if setup is None:
-        setup = _set_up(problem, grid)
-    # (0 + noise) + (0 + g) rounds as (0 + g) + noise does: addition commutes,
-    # and a zero's sign cannot change either sum
-    load = assemble_load(grid, path=path) + setup.forcing_load
-    # a non-finite load is reported by the loop, as the Green's solver's is
-    rhs = _with_boundary(setup.stiffness.solve(load, check_finite=False))
-    return damped_fixed_point(problem, grid, rhs, setup.apply_k, tol, max_iters,
-                              "FEM fixed-point iteration", setup.gauss)
+        setup = _discretize(problem, grid or path.grid)
+    elif grid not in (None, setup.grid):
+        raise ValueError(f"grid n={grid.n} is not the set-up's grid n={setup.grid.n}")
+    return damped_fixed_point(problem, setup, setup.rhs(path), tol, max_iters)
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:

@@ -27,13 +27,11 @@ taken along the last axis.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 import numpy as np
 
 from .grids import UniformGrid, _shifted_stiffness, gauss_values
 from .noise import IncrementPath, increments_on, plinear_self_isometry
-from .problem import ProblemSpec, Solution, damped_fixed_point
+from .problem import Discretization, ProblemSpec, Solution, damped_fixed_point
 
 __all__ = [
     "convolution_error_second_moment",
@@ -165,23 +163,31 @@ def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
     return plinear_self_isometry(left, slopes, hurst)
 
 
-class _Setup(NamedTuple):
-    """What every Green's solve on one grid shares, for one problem."""
+def _discretize(problem: ProblemSpec, grid: UniformGrid) -> Discretization:
+    """The Green's Discretization of a grid: built once, it serves every block solved on it.
 
-    gauss: np.ndarray  # the grid's Gauss points
-    forcing: np.ndarray  # g at them
-    apply_k: Callable  # K_c
-
-
-def _set_up(problem: ProblemSpec, grid: UniformGrid) -> _Setup:
-    """The Green's set-up of a grid: built once, it serves every block solved on it."""
+    Its rhs is K_c of the density g + noise at the Gauss points, g taken
+    there once here; the noise is constant on a cell, so both points see it.
+    """
     gauss = grid.gauss_points()
-    return _Setup(gauss, problem.forcing(gauss), _nodal_apply(grid, problem.reaction.shift))
+    forcing = problem.forcing(gauss)
+    apply_k = _nodal_apply(grid, problem.reaction.shift)
+
+    def rhs(path: IncrementPath) -> np.ndarray:
+        density = forcing
+        if path is not None:
+            density = density + np.repeat(increments_on(path, grid) / grid.h, 2, axis=-1)
+        # an inf in the density times a boundary node's zero weight is NaN;
+        # the loop reports the non-finite row, so numpy need not warn first
+        with np.errstate(invalid="ignore"):
+            return apply_k(density)
+
+    return Discretization(grid, gauss, apply_k, rhs, "fixed-point iteration")
 
 
 def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
                       grid: UniformGrid = None, tol: float = 1e-10,
-                      max_iters: int = 500, *, setup: _Setup = None) -> Solution:
+                      max_iters: int = 500, *, setup: Discretization = None) -> Solution:
     """Solve u + K f(., u) = K g + K noise by Anderson-accelerated fixed-point iteration.
 
     For a reaction with Lipschitz constant L < 2 the plain iteration
@@ -208,27 +214,20 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
             the same rule as the FEM solver's (met through the shifted
             residual when c != 0; see damped_fixed_point).
         max_iters: iteration cap; NonConvergenceError beyond it.
-        setup: the grid's Gauss points, the forcing at them and the K map
-            (_set_up(problem, grid)), built here when None; a study builds
-            them once per grid and chunk and passes them to every block.
+        setup: the Discretization of the solver grid, _discretize(problem,
+            grid) (its Gauss points, K map and rhs, which holds the forcing
+            at the Gauss points), built here when None; a study builds one
+            per grid and chunk and passes it to every block.  A grid other
+            than its own raises ValueError.
 
     Returns:
-        Solution with nodal values, final residual, iteration count.
+        Solution, the nodal GridFunction with every row's final residual
+        and iteration count.
     """
     if path is None and grid is None:
         raise ValueError("need either a noise path or a grid")
-    if grid is None:
-        grid = path.grid
     if setup is None:
-        setup = _set_up(problem, grid)
-    apply_k, density = setup.apply_k, setup.forcing
-    if path is not None:
-        # the noise density is constant on each cell, so both Gauss points see it
-        density = density + np.repeat(increments_on(path, grid) / grid.h, 2, axis=-1)
-    # an inf in the density times a boundary node's zero weight is NaN; the
-    # loop reports the non-finite row, so numpy need not warn first
-    with np.errstate(invalid="ignore"):
-        rhs = apply_k(density)
-    del density  # (rows, 2n) values the loop does not need
-    return damped_fixed_point(problem, grid, rhs, apply_k, tol, max_iters,
-                              "fixed-point iteration", setup.gauss)
+        setup = _discretize(problem, grid or path.grid)
+    elif grid not in (None, setup.grid):
+        raise ValueError(f"grid n={grid.n} is not the set-up's grid n={setup.grid.n}")
+    return damped_fixed_point(problem, setup, setup.rhs(path), tol, max_iters)

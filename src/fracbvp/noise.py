@@ -274,14 +274,13 @@ class IncrementSampler:
                 np.matmul(raw[:, :end], panel, out=out[:, end - panel.shape[1]:end])
             return out
         m = 2 * n
-        spec = np.zeros((raw.shape[0], n + 1), dtype=complex)
+        spec = np.empty((raw.shape[0], n + 1), dtype=complex)
         spec[:, 0] = self._scale[0] * raw[:, 0]
         spec[:, n] = self._scale[n] * raw[:, 1]
-        if n > 1:
-            pairs = raw[:, 2:].reshape(raw.shape[0], n - 1, 2)
-            spec[:, 1:n] = (
-                self._scale[1:n] / math.sqrt(2.0) * (pairs[:, :, 0] + 1j * pairs[:, :, 1])
-            )
+        # the other normals pair up as the real and imaginary parts of
+        # frequencies 1 .. n - 1; the view needs raw's rows contiguous
+        np.multiply(self._scale[1:n] / math.sqrt(2.0), raw[:, 2:].view(np.complex128),
+                    out=spec[:, 1:n])
         return np.multiply(math.sqrt(m), np.fft.irfft(spec, n=m, axis=1)[:, :n], out=out)
 
     def _draw(self, fill: Callable, rows: int, first: int) -> np.ndarray:
@@ -509,8 +508,6 @@ def singular_kernel_pair_sum(grid: UniformGrid, hurst) -> float:
     if n == 1:
         return 0.0
     two_h = 2.0 * H
-    k = np.arange(n, dtype=float)  # second difference needs lags 0..n-1 shifted
-    q = k**two_h
     # rectangle integral at lag k >= 1: (Q(k+1) - 2Q(k) + Q(k-1)) h^{2H} / (2H(2H-1))
     lag = np.arange(1, n, dtype=float)
     second_diff = (lag + 1.0) ** two_h - 2.0 * lag**two_h + (lag - 1.0) ** two_h

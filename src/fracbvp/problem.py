@@ -13,8 +13,8 @@ Anderson-accelerated with depth ANDERSON_DEPTH.  Its mixing is 1 for a
 Lipschitz reaction: the discrete K has L2 norm <= 1/pi^2, so the plain
 map u -> K (g + noise) - K f(., u) contracts at rate <= L/pi^2.  A
 monotone-only reaction takes the damped step 2/(2 + L).  The solvers
-return one Solution type and differ only in the discrete Green's operator
-K they pass in, the Galerkin one or the Green's-function quadrature.
+return one Solution type and differ only in the Discretization they pass
+in: the Galerkin K or the Green's-function quadrature, and its rhs.
 
 A reaction with a slope at zero, c = df/dr(x, 0) (ReactionTerm.slope_at_zero),
 is iterated in the shifted mild form u + K_c (f(., u) - c u) = K_c (g + noise),
@@ -36,11 +36,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
-from .grids import UniformGrid, _linear_l2, _row_dot, gauss_values
+from .grids import GridFunction, UniformGrid, _linear_l2, _row_dot, gauss_values
 from .noise import HurstIndex, _as_hurst
 
 __all__ = [
     "COERCIVITY",
+    "Discretization",
     "FORCINGS",
     "REACTIONS",
     "ProblemSpec",
@@ -59,17 +60,14 @@ __all__ = [
 COERCIVITY = 2.0
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Nodal solution on a grid, zero boundary data included; either solver's result.
+@dataclass(frozen=True, kw_only=True)
+class Solution(GridFunction):
+    """Either solver's result: a nodal GridFunction, zero boundary data included.
 
-    For a stack of noise paths `values` holds one solution per row;
-    row_residuals and row_iterations hold every row's final residual and
-    iteration count (one entry for a single solve).
+    One row per path of a stack, each with its final residual and iteration
+    count in row_residuals and row_iterations.
     """
 
-    grid: UniformGrid
-    values: np.ndarray
     row_residuals: np.ndarray
     row_iterations: np.ndarray
 
@@ -82,6 +80,23 @@ class Solution:
     def iterations(self) -> int:
         """Iteration count; the sum over the rows of a stack."""
         return int(self.row_iterations.sum())
+
+
+@dataclass(frozen=True)
+class Discretization:
+    """What every solve of a problem on one grid shares: all the loop takes from a solver.
+
+    apply_k is K_c, from Gauss-point values (a stack of rows) to nodal rows
+    with zero ends, into `out` when it is given; rhs(path) is K_c (g + noise)
+    at the nodes for a path, a stack of them or None; label names the
+    solver's iteration in errors.  Neither keeps state between calls.
+    """
+
+    grid: UniformGrid
+    gauss: np.ndarray
+    apply_k: Callable
+    rhs: Callable
+    label: str
 
 
 # Anderson acceleration (Walker & Ni 2011) of the fixed-point step: each step
@@ -167,29 +182,27 @@ def _anderson_correction(df: np.ndarray, dg: np.ndarray, gram: np.ndarray, d: np
     return np.einsum("rji,jr->ri", dg[:, :live], gamma, out=out)
 
 
-def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
-                       apply_k: Callable, tol: float, max_iters: int,
-                       label: str, gauss: np.ndarray = None) -> Solution:
+def damped_fixed_point(problem: ProblemSpec, disc: Discretization, rhs: np.ndarray,
+                       tol: float, max_iters: int) -> Solution:
     """Solve u + K f(., u) = rhs at the nodes by Anderson-accelerated fixed-point steps.
 
-    The one solver iteration; the two solvers differ only in their discrete
-    Green's operator K and right-hand side.  apply_k maps values at the
-    grid's Gauss points (a stack of rows) to nodal values with zero ends,
-    into `out` when it is given; rhs holds nodal rows with zero ends, one
-    per noise path (a 1-D rhs is a single solve).  gauss holds the grid's
-    Gauss points, taken from grid.gauss_points() when it is None.  Every
-    row starts from zero, whose residual is rhs exactly as f(., 0) = 0: the
-    zero start calls neither the reaction nor K.
+    The one solver iteration; the two solvers differ only in their
+    Discretization disc of the grid, whose apply_k is K, whose Gauss points
+    the reaction is taken at and whose label names the solver in errors.
+    rhs holds nodal rows with zero ends, one per noise path (a 1-D rhs is a
+    single solve), as disc.rhs(path) returns them.  Every row starts from
+    zero, whose residual is rhs exactly as f(., 0) = 0: the zero start
+    calls neither the reaction nor K.
 
     With the reaction's shift c (ReactionTerm.shift, its slope at zero) the
-    loop solves the shifted mild form u + K_c (f(., u) - c u) = rhs_c: apply_k
-    and rhs must then be K_c = (I + c K)^-1 K and rhs_c = (I + c K)^-1 rhs,
-    the same equation.  The reaction is still called once per step, and the
-    loop subtracts c times the Gauss values itself; with c = 0 that
-    subtraction does not run.  As the residual of the unshifted equation is
-    (I + c K) times the loop's, and K has L2 norm <= 1/pi^2, a row stops at
-    a loop residual <= tol / (1 + max(c, 0)/pi^2), which keeps
-    ||u + K f(., u) - rhs|| <= tol; at c = 0 that bound is tol itself.
+    loop solves the shifted mild form u + K_c (f(., u) - c u) = rhs_c:
+    disc.apply_k and rhs must then be K_c = (I + c K)^-1 K and
+    rhs_c = (I + c K)^-1 rhs, the same equation.  The reaction is still
+    called once per step, and the loop subtracts c times the Gauss values
+    itself; with c = 0 that subtraction does not run.  As the residual of
+    the unshifted equation is (I + c K) times the loop's, and K has L2 norm
+    <= 1/pi^2, a row stops at a loop residual <= tol / (1 + max(c, 0)/pi^2),
+    which keeps ||u + K f(., u) - rhs|| <= tol; at c = 0 that is tol itself.
 
     The step is Anderson acceleration of depth ANDERSON_DEPTH with mixing
     theta, the reaction's step_size (1 for a Lipschitz reaction), on the
@@ -223,6 +236,7 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
         raise ValueError(f"tolerance must be a number >= 0, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    grid, gauss, apply_k, label = disc.grid, disc.gauss, disc.apply_k, disc.label
     rhs_rows = np.atleast_2d(rhs)
     if not len(rhs_rows):
         raise ValueError(f"{label} got an empty stack: no right-hand side row to solve")
@@ -230,8 +244,6 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
     if not finite.all():
         raise ValueError(f"right-hand side of row {int(np.argmin(finite))} is not finite: "
                          "the noise path or the forcing holds an inf or NaN")
-    if gauss is None:
-        gauss = grid.gauss_points()
     theta = problem.reaction.step_size
     shift = problem.reaction.shift
     # the equation's residual is (I + c K) times the loop's, and K has L2
@@ -304,7 +316,8 @@ def damped_fixed_point(problem: ProblemSpec, grid: UniformGrid, rhs: np.ndarray,
                 buffer[:len(rows)] = buffer[:count][going]
             count = len(rows)
             if not count:
-                return Solution(grid, u.reshape(np.shape(rhs)), residuals, iterations)
+                return Solution(grid, u.reshape(np.shape(rhs)), row_residuals=residuals,
+                                row_iterations=iterations)
             active, target, d = iterates[:count], targets[:count], defects[:count]
         if iteration == max_iters:
             break

@@ -82,6 +82,14 @@ MUTANTS = {
     "empty-full": ("problem.py",
                    "restart = collapsed | (full & grew) if live == depth else collapsed",
                    "restart = collapsed | (full & grew)"),
+    # the FEM rhs has ones in place of its zero boundary entries
+    "rhs-ends": ("fem.py",
+                 "nodal = np.zeros(load.shape[:-1] + (grid.n + 1,))",
+                 "nodal = np.ones(load.shape[:-1] + (grid.n + 1,))"),
+    # the Green's rhs drops the forcing when a noise path is given
+    "rhs-forcing": ("greens.py",
+                    "density = density + np.repeat(",
+                    "density = np.repeat("),
 }
 
 

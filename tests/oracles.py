@@ -108,7 +108,8 @@ def solve_linear_fem(grid, load):
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("stiffness solve produced non-finite values")
     rows = values.shape[:-1] or (1,)
-    return Solution(grid, values, np.zeros(rows), np.zeros(rows, dtype=int))
+    return Solution(grid, values, row_residuals=np.zeros(rows),
+                    row_iterations=np.zeros(rows, dtype=int))
 
 
 def fbm_cov(x, y, H):

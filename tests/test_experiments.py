@@ -535,9 +535,9 @@ class TestBlocks:
     def test_each_grid_solves_blocks_sized_by_itself(self, monkeypatch):
         rows = defaultdict(list)
 
-        def spy(problem, grid, rhs, *args):
-            rows[grid.n].append(len(rhs))
-            return damped_fixed_point(problem, grid, rhs, *args)
+        def spy(problem, disc, rhs, *args):
+            rows[disc.grid.n].append(len(rhs))
+            return damped_fixed_point(problem, disc, rhs, *args)
 
         monkeypatch.setattr(fem_module, "damped_fixed_point", spy)
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,

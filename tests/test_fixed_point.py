@@ -91,6 +91,20 @@ def _counting(reaction: ReactionTerm, calls: list) -> ReactionTerm:
                         reaction.lipschitz_constant, name=reaction.name)
 
 
+@pytest.mark.parametrize("module", [fem, greens])
+def test_a_set_up_of_another_grid_is_refused(module):
+    # a study hands each block its grid's Discretization; one built for
+    # another grid would solve there without a word
+    spec = ProblemSpec.from_labels(0.3, "sin", "one")
+    path = IncrementPath(UniformGrid(16), np.random.default_rng(5).normal(size=(2, 16)))
+    setup = module._discretize(spec, UniformGrid(16))
+    solve = SOLVERS["fem" if module is fem else "greens"]
+    assert np.array_equal(solve(spec, path, grid=UniformGrid(16), setup=setup).values,
+                          solve(spec, path).values)
+    with pytest.raises(ValueError, match="n=32 is not the set-up's grid n=16"):
+        solve(spec, path, grid=UniformGrid(32), setup=setup)
+
+
 @pytest.mark.parametrize("bad", ["nan noise", "inf noise", "nan forcing"])
 def test_non_finite_data_fails_alike_before_any_step(bad):
     grid = UniformGrid(16)
@@ -267,12 +281,13 @@ def test_loop_memory_stays_within_its_buffers(solver, reaction):
     spec = ProblemSpec.from_labels(0.25, reaction, "one")
     rhs = greens._nodal_apply(grid)(np.repeat(increments / grid.h, 2, axis=-1) + 1.0)
     apply_k = (fem if solver == "fem" else greens)._nodal_apply(grid)
+    disc = problem.Discretization(grid, grid.gauss_points(), apply_k, None, "loop")
     unit = rows * (n + 1) * 8
     owned = 2 * problem.ANDERSON_DEPTH + 4
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        problem.damped_fixed_point(spec, grid, rhs, apply_k, 1e-10, 500, "loop")
+        problem.damped_fixed_point(spec, disc, rhs, 1e-10, 500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -338,7 +338,7 @@ class TestHammersteinOperators:
         # kept its running sums between calls failed dozens of these solves
         grid = UniformGrid(256)
         problem = ProblemSpec.from_labels(0.25, "sin", "one")
-        setup = greens._set_up(problem, grid)
+        setup = greens._discretize(problem, grid)
         sampler = IncrementSampler(grid, 0.25, "davies-harte")
         blocks = [sampler.sample(1, 0, 3), sampler.sample(2, 0, 5)]
         alone = [np.array([solve_hammerstein(problem, IncrementPath(grid, row)).values

@@ -124,7 +124,7 @@ def _unshifted_residual(solver, spec, path, u):
     grid = path.grid
     if solver == "fem":
         load = assemble_load(grid, forcing=spec.forcing, path=path)
-        rhs = fem._with_boundary(Tridiagonal(grid).solve(load))
+        rhs = np.pad(Tridiagonal(grid).solve(load), [(0, 0), (1, 1)])
         apply_k = fem._nodal_apply(grid)
     else:
         apply_k = greens._nodal_apply(grid)
