@@ -456,6 +456,14 @@ class Verdict:
         return "PASS" if self.passed else "FAIL"
 
 
+def _z_verdict(check: str, target: float, estimate: float, se: float,
+               samples: int) -> Verdict:
+    """The Monte Carlo verdict: PASS when the estimate lies within 4 se of the target."""
+    z = (estimate - target) / se
+    return Verdict(check=check, target=target, estimate=estimate, statistic=z,
+                   passed=abs(z) <= 4.0, details=f"{samples} samples, z={z:.2f}")
+
+
 def verify_noise_norm(hurst, n: int = 64, samples: int = 10000,
                       seed: int = 2024) -> Verdict:
     """Monte Carlo check of E ||noise||_{L2}^2 = h^{2H-2}.
@@ -471,15 +479,7 @@ def verify_noise_norm(hurst, n: int = 64, samples: int = 10000,
     target = grid.h ** (2.0 * hurst.value - 2.0)
     estimate = float(norms_sq.mean())
     se = float(norms_sq.std(ddof=1)) / math.sqrt(samples)
-    z = (estimate - target) / se
-    return Verdict(
-        check=f"noise-norm[n={n},H={hurst.value:g}]",
-        target=target,
-        estimate=estimate,
-        statistic=z,
-        passed=abs(z) <= 4.0,
-        details=f"{samples} samples, z={z:.2f}",
-    )
+    return _z_verdict(f"noise-norm[n={n},H={hurst.value:g}]", target, estimate, se, samples)
 
 
 def verify_isometry(f: StepFunction, hurst, samples: int = 100000,
@@ -501,15 +501,7 @@ def verify_isometry(f: StepFunction, hurst, samples: int = 100000,
     integrals = draws @ f.values
     estimate = float(integrals.var(ddof=1))
     se = target * math.sqrt(2.0 / (samples - 1))
-    z = (estimate - target) / se
-    return Verdict(
-        check=f"isometry[{label},H={hurst.value:g}]",
-        target=target,
-        estimate=estimate,
-        statistic=z,
-        passed=abs(z) <= 4.0,
-        details=f"{samples} samples, z={z:.2f}",
-    )
+    return _z_verdict(f"isometry[{label},H={hurst.value:g}]", target, estimate, se, samples)
 
 
 def kernel_pair_sum_quadrature(grid: UniformGrid, hurst) -> float:

@@ -22,14 +22,13 @@ stiffness solve along the last axis of the stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GAUSS_OFFSETS, GridFunction, UniformGrid, _shifted_stiffness
 from .noise import IncrementPath, increments_on
-from .problem import Discretization, ProblemSpec, Solution, damped_fixed_point
+from .problem import Discretization, ProblemSpec, Solution, solve_on
 
 __all__ = [
     "Tridiagonal",
@@ -40,9 +39,7 @@ __all__ = [
 
 
 def _require_finite(array: np.ndarray) -> None:
-    # a sum of squares is finite only if every entry is; on overflow the
-    # exact elementwise test decides
-    if not math.isfinite(np.vdot(array, array)) and not np.isfinite(array).all():
+    if not np.isfinite(array).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -216,13 +213,7 @@ def solve_nonlinear_fem(problem: ProblemSpec, path: IncrementPath = None,
             study builds one per grid and chunk and passes it to every
             block.  A grid other than its own raises ValueError.
     """
-    if path is None and grid is None:
-        raise ValueError("need either a noise path or a grid")
-    if setup is None:
-        setup = _discretize(problem, grid or path.grid)
-    elif grid not in (None, setup.grid):
-        raise ValueError(f"grid n={grid.n} is not the set-up's grid n={setup.grid.n}")
-    return damped_fixed_point(problem, setup, setup.rhs(path), tol, max_iters)
+    return solve_on(_discretize, problem, path, grid, tol, max_iters, setup)
 
 
 def ritz_projection(w, grid: UniformGrid) -> GridFunction:

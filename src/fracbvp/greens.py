@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import UniformGrid, _shifted_stiffness, gauss_values
+from .grids import UniformGrid, _require_unit_interval, _shifted_stiffness, gauss_values
 from .noise import IncrementPath, increments_on, plinear_self_isometry
-from .problem import Discretization, ProblemSpec, Solution, damped_fixed_point
+from .problem import Discretization, ProblemSpec, Solution, solve_on
 
 __all__ = [
     "convolution_error_second_moment",
@@ -45,8 +45,7 @@ def greens_function(x, y) -> np.ndarray:
     """G(x, y) = min(x, y) - x y on [0, 1]^2, vectorized with broadcasting."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0) or np.any(y < 0.0) or np.any(y > 1.0):
-        raise ValueError("greens_function arguments must lie in [0, 1]")
+    _require_unit_interval("greens_function arguments", x, y)
     return np.minimum(x, y) - x * y
 
 
@@ -62,8 +61,7 @@ def greens_cell_integrals(x, grid: UniformGrid) -> np.ndarray:
         int_{cell i} G(x, z) dz.  Row sums equal x(1-x)/2.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
+    _require_unit_interval("evaluation points", x_arr)
     nodes = grid.nodes()
     a, b = nodes[:-1][None, :], nodes[1:][None, :]
     xc = x_arr[:, None]
@@ -148,8 +146,7 @@ def convolution_error_second_moment(x: float, grid: UniformGrid, hurst,
 
     Decays like h^{2H+1} as the grid is refined.
     """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
+    _require_unit_interval("x", x)
     if refine < 1:
         raise ValueError("refine must be >= 1")
     pieces = refine * grid.n
@@ -224,10 +221,4 @@ def solve_hammerstein(problem: ProblemSpec, path: IncrementPath = None,
         Solution, the nodal GridFunction with every row's final residual
         and iteration count.
     """
-    if path is None and grid is None:
-        raise ValueError("need either a noise path or a grid")
-    if setup is None:
-        setup = _discretize(problem, grid or path.grid)
-    elif grid not in (None, setup.grid):
-        raise ValueError(f"grid n={grid.n} is not the set-up's grid n={setup.grid.n}")
-    return damped_fixed_point(problem, setup, setup.rhs(path), tol, max_iters)
+    return solve_on(_discretize, problem, path, grid, tol, max_iters, setup)

@@ -60,6 +60,13 @@ class UniformGrid:
         return finer.n % self.n == 0
 
 
+def _require_unit_interval(what: str, *points) -> None:
+    """ValueError "<what> must lie in [0, 1]" unless every point does; NaN does not."""
+    for x in map(np.asarray, points):
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError(f"{what} must lie in [0, 1]")
+
+
 # einsum reduces in buffers of 8192 elements and may split a stack's rows
 # otherwise than a row alone; so may it sum a strided last axis.
 _DOT_BLOCK = 8192
@@ -137,8 +144,7 @@ class GridFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]")
+        _require_unit_interval("evaluation points", x)
         if self.kind == "cell":
             idx = np.clip(np.ceil(x * self.grid.n).astype(int) - 1, 0, self.grid.n - 1)
             return self.values[..., idx]

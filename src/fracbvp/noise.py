@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FactorizationError, GridMismatchError
-from .grids import GridFunction, UniformGrid
+from .grids import GridFunction, UniformGrid, _require_unit_interval
 from .seeding import pcg64_states
 
 __all__ = [
@@ -92,8 +92,7 @@ def fbm_covariance(x, y, hurst) -> np.ndarray:
     H = _as_hurst(hurst).value
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0) or np.any(y < 0.0) or np.any(y > 1.0):
-        raise ValueError("fbm_covariance arguments must lie in [0, 1]")
+    _require_unit_interval("fbm_covariance arguments", x, y)
     two_h = 2.0 * H
     return 0.5 * (x**two_h + y**two_h - np.abs(x - y) ** two_h)
 
@@ -433,8 +432,7 @@ class StepFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]")
+        _require_unit_interval("evaluation points", x)
         idx = np.searchsorted(self.breakpoints, x, side="left") - 1
         return self.values[np.clip(idx, 0, len(self.values) - 1)]
 

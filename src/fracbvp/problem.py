@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .grids import GridFunction, UniformGrid, _linear_l2, _row_dot, gauss_values
-from .noise import HurstIndex, _as_hurst
+from .noise import HurstIndex, IncrementPath, _as_hurst
 
 __all__ = [
     "COERCIVITY",
@@ -52,6 +52,7 @@ __all__ = [
     "make_forcing",
     "make_reaction",
     "sin_reaction",
+    "solve_on",
     "sqrt_clip_reaction",
     "zero_reaction",
 ]
@@ -341,6 +342,23 @@ def damped_fixed_point(problem: ProblemSpec, disc: Discretization, rhs: np.ndarr
         iterations=max_iters,
         row=row,
     )
+
+
+def solve_on(discretize: Callable, problem: ProblemSpec, path: Optional[IncrementPath],
+             grid: Optional[UniformGrid],
+             tol: float, max_iters: int, setup: Optional[Discretization]) -> Solution:
+    """The one body of both public solvers: solve on setup, or on discretize(problem, grid).
+
+    grid defaults to the path's; with neither a path nor a grid, or with a
+    grid other than setup's, it raises ValueError.
+    """
+    if path is None and grid is None:
+        raise ValueError("need either a noise path or a grid")
+    if setup is None:
+        setup = discretize(problem, grid or path.grid)
+    elif grid not in (None, setup.grid):
+        raise ValueError(f"grid n={grid.n} is not the set-up's grid n={setup.grid.n}")
+    return damped_fixed_point(problem, setup, setup.rhs(path), tol, max_iters)
 
 
 @dataclass(frozen=True)

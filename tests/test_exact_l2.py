@@ -69,7 +69,7 @@ def test_l2_error_evaluates_once_on_the_common_refinement(monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [solve_nonlinear_fem, solve_hammerstein])
-def test_stacked_solve_builds_no_grid_function(monkeypatch, solve):
+def test_stacked_solve_builds_one_grid_function(monkeypatch, solve):
     grid = UniformGrid(512)
     stack = IncrementPath(grid, IncrementSampler(grid, 0.25).sample_many(
         np.random.default_rng(17), 32))

@@ -30,8 +30,8 @@ from fracbvp import (
     verify_solver_agreement,
 )
 from fracbvp import experiments
-from fracbvp import fem as fem_module
 from fracbvp import noise as noise_module
+from fracbvp import problem as problem_module
 from fracbvp.errors import FactorizationError, GridMismatchError, NonConvergenceError
 from fracbvp.experiments import _level_path, kernel_pair_sum_quadrature
 from fracbvp.noise import (IncrementPath, StepFunction, aggregate_increments,
@@ -539,7 +539,7 @@ class TestBlocks:
             rows[disc.grid.n].append(len(rhs))
             return damped_fixed_point(problem, disc, rhs, *args)
 
-        monkeypatch.setattr(fem_module, "damped_fixed_point", spy)
+        monkeypatch.setattr(problem_module, "damped_fixed_point", spy)
         config = StudyConfig(hurst=0.25, reaction="sin", forcing="one", n0=16, levels=4,
                              ref_extra=2, samples=200, seed=2024, solver="fem")
         run_convergence_study(config)

@@ -105,6 +105,13 @@ def test_a_set_up_of_another_grid_is_refused(module):
         solve(spec, path, grid=UniformGrid(32), setup=setup)
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_solve_needs_a_noise_path_or_a_grid(solver):
+    spec = ProblemSpec.from_labels(0.3, "sin", "one")
+    with pytest.raises(ValueError, match="need either a noise path or a grid"):
+        SOLVERS[solver](spec)
+
+
 @pytest.mark.parametrize("bad", ["nan noise", "inf noise", "nan forcing"])
 def test_non_finite_data_fails_alike_before_any_step(bad):
     grid = UniformGrid(16)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from fracbvp import GridFunction, UniformGrid, discrete_h1_error, discrete_l2_error
+from fracbvp import (GridFunction, StepFunction, UniformGrid, convolution_error_second_moment,
+                     discrete_h1_error, discrete_l2_error, fbm_covariance,
+                     greens_cell_integrals, greens_function)
 from fracbvp.grids import _cell_ends, _linear_l2, _row_dot, gauss_values
 
 from oracles import from_callable
@@ -232,3 +234,21 @@ class TestErrors:
         g = GridFunction(UniformGrid(2), np.zeros(3))
         with pytest.raises(ValueError):
             discrete_h1_error(f, g)
+
+
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda x: GridFunction(UniformGrid(4), np.arange(5.0))(x), id="nodal"),
+    pytest.param(lambda x: GridFunction(UniformGrid(4), np.ones(4), kind="cell")(x), id="cell"),
+    pytest.param(lambda x: StepFunction.constant(1.0)(x), id="step"),
+    pytest.param(lambda x: fbm_covariance(x, 0.5, 0.25), id="fbm_covariance"),
+    pytest.param(lambda x: greens_function(x, 0.5), id="greens_function"),
+    pytest.param(lambda x: greens_cell_integrals(x, UniformGrid(4)), id="greens_cell_integrals"),
+    pytest.param(lambda x: convolution_error_second_moment(x, UniformGrid(4), 0.25),
+                 id="convolution_error_second_moment"),
+])
+def test_a_nan_evaluation_point_is_refused(evaluate):
+    # a NaN compares False both ways, so only a test for membership catches it
+    assert np.all(np.isfinite(evaluate(0.5)))
+    for x in (math.nan, np.array([0.25, math.nan])):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            evaluate(x)
